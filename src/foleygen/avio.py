@@ -41,10 +41,11 @@ class AudioBuffer:
             )
         if self.sample_rate <= 0:
             raise ParameterError("sample_rate must be positive")
-        if self.samples.size and (
-            self.samples.min() < -1.0 or self.samples.max() > 1.0
+        # phrased so that NaN, which fails every comparison, is rejected too
+        if self.samples.size and not (
+            self.samples.min() >= -1.0 and self.samples.max() <= 1.0
         ):
-            raise FormatError("audio amplitudes must lie in [-1, 1]")
+            raise FormatError("audio amplitudes must be finite and lie in [-1, 1]")
 
     def __len__(self):
         return self.samples.shape[0]
@@ -66,8 +67,8 @@ class VideoClip:
             raise FormatError("video must contain at least one frame")
         if self.frame_rate <= 0:
             raise ParameterError("frame_rate must be positive")
-        if self.frames.min() < 0.0 or self.frames.max() > 1.0:
-            raise FormatError("pixel values must lie in [0, 1]")
+        if not (self.frames.min() >= 0.0 and self.frames.max() <= 1.0):
+            raise FormatError("pixel values must be finite and lie in [0, 1]")
 
     @property
     def frame_count(self):

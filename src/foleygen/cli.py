@@ -119,9 +119,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    # precision first: load_checkpoint casts the parameters to it
+    engine.set_precision(args.precision)
     model = models.load_checkpoint(args.checkpoint)
     ds = avio.load_dataset(args.dataset)
-    engine.set_precision(args.precision)
     audio = generation.generate(model, ds.av.video, total_frames=args.frames)
     out = _out_path(args.out)
     generation.write_wav(audio, out)
@@ -136,9 +137,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    engine.set_precision(args.precision)
     model = models.load_checkpoint(args.checkpoint)
     ds = avio.load_dataset(args.dataset)
-    engine.set_precision(args.precision)
     kind = _LOSS_FLAG[args.loss]
     value = training.evaluate(model, ds, kind, max_windows=args.max_windows)
     table = report.loss_table([(args.video, model.config.kind, value)])

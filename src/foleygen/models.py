@@ -8,6 +8,7 @@ All architecture sizes are config-driven; defaults are desk-scale.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -506,32 +507,40 @@ def load_checkpoint(path) -> Model:
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != _CKPT_MAGIC:
         raise FormatError(f"{path}: not a checkpoint file")
-    (version,) = struct.unpack_from("<I", raw, 4)
+    view, pos = memoryview(raw), 4
+
+    def take(n: int) -> memoryview:
+        nonlocal pos
+        if pos + n > len(raw):
+            raise FormatError(
+                f"{path}: truncated: needs {pos + n} bytes, has {len(raw)}"
+            )
+        pos += n
+        return view[pos - n: pos]
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    (version,) = unpack("<I")
     if version != _CKPT_VERSION:
         raise UnsupportedError(f"{path}: checkpoint version {version}")
-    (clen,) = struct.unpack_from("<I", raw, 8)
-    pos = 12
-    config = ModelConfig.from_json(raw[pos: pos + clen].decode())
-    pos += clen
+    (clen,) = unpack("<I")
+    try:
+        config = ModelConfig.from_json(bytes(take(clen)).decode())
+    except (UnicodeDecodeError, json.JSONDecodeError, TypeError) as e:
+        raise FormatError(f"{path}: unreadable model config: {e}") from None
     model = build_model(config, seed=0)
-    (n,) = struct.unpack_from("<I", raw, pos)
-    pos += 4
+    (n,) = unpack("<I")
     if n != len(model.params):
         raise FormatError(
             f"{path}: {n} tensors in file, model expects {len(model.params)}"
         )
     for _ in range(n):
-        (nlen,) = struct.unpack_from("<H", raw, pos)
-        pos += 2
-        name = raw[pos: pos + nlen].decode()
-        pos += nlen
-        (ndim,) = struct.unpack_from("<B", raw, pos)
-        pos += 1
-        shape = struct.unpack_from(f"<{ndim}I", raw, pos) if ndim else ()
-        pos += 4 * ndim
-        count = int(np.prod(shape)) if ndim else 1
-        data = np.frombuffer(raw, dtype="<f4", count=count, offset=pos)
-        pos += 4 * count
+        (nlen,) = unpack("<H")
+        name = bytes(take(nlen)).decode(errors="replace")
+        (ndim,) = unpack("<B")
+        shape = unpack(f"<{ndim}I")
+        data = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4")
         if name not in model.params:
             raise FormatError(f"{path}: unknown tensor {name!r}")
         t = model.params[name]
@@ -541,4 +550,6 @@ def load_checkpoint(path) -> Model:
             )
         t.data = data.reshape(t.data.shape).astype(engine.dtype())
         t.grad = np.zeros_like(t.data)
+    if pos != len(raw):
+        raise FormatError(f"{path}: {len(raw) - pos} bytes after the last tensor")
     return model

@@ -53,6 +53,22 @@ def write_clip(tmp_path, frames_u8, fps, name="clip"):
     return manifest
 
 
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_audio_buffer(self, bad):
+        samples = np.zeros((4, 2))
+        samples[2, 1] = bad
+        with pytest.raises(FormatError):
+            AudioBuffer(samples=samples, sample_rate=8)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_video_clip(self, bad):
+        frames = np.full((2, 3, 4, 4), 0.5)
+        frames[1, 0, 2, 3] = bad
+        with pytest.raises(FormatError):
+            VideoClip(frames=frames, frame_rate=5)
+
+
 class TestLoadWav:
     def test_full_scale_scaling(self, tmp_path):
         p = tmp_path / "a.wav"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -110,6 +111,122 @@ class TestConv3d:
     def test_kernel_too_large_rejected(self):
         with pytest.raises(ShapeError):
             conv3d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 3, 1, 1))))
+
+
+def conv3d_per_tap(x, k, g, stride, padding):
+    """The original per-tap conv3d: forward, input and kernel gradients.
+
+    One einsum per kernel tap in each direction. Kept as the reference the
+    im2col implementation is checked against; g is the output gradient.
+    """
+    co, ci, kt, kh, kw = k.shape
+    st, sh, sw = stride
+    pt, ph, pw = padding
+    dims = x.shape[1:]
+    To, Ho, Wo = [(d + 2 * p - kk) // s + 1
+                  for d, kk, s, p in zip(dims, (kt, kh, kw), stride, padding)]
+    xp = np.pad(x, ((0, 0), (pt, pt), (ph, ph), (pw, pw)))
+    y = np.zeros((co, To, Ho, Wo))
+    gk = np.zeros_like(k)
+    gxp = np.zeros_like(xp)
+    for a in range(kt):
+        for b in range(kh):
+            for c in range(kw):
+                sl = (slice(None), slice(a, a + st * To, st),
+                      slice(b, b + sh * Ho, sh), slice(c, c + sw * Wo, sw))
+                y += np.einsum("oc,cthw->othw", k[:, :, a, b, c], xp[sl])
+                gk[:, :, a, b, c] += np.einsum("othw,cthw->oc", g, xp[sl])
+                gxp[sl] += np.einsum("oc,othw->cthw", k[:, :, a, b, c], g)
+    gx = gxp[:, pt: pt + dims[0], ph: ph + dims[1], pw: pw + dims[2]]
+    return y, gx, gk
+
+
+def conv3d_with_grads(x, k, g, stride, padding):
+    xt = Tensor(x, requires_grad=True)
+    kt = Tensor(k, requires_grad=True)
+    y = conv3d(xt, kt, stride, padding)
+    backward((y * Tensor(g)).sum())
+    return y.data, xt.grad, kt.grad
+
+
+class TestConv3dIm2col:
+    """The im2col conv3d against the per-tap reference."""
+
+    @pytest.mark.parametrize("budget", ["default", "one_byte"])
+    @pytest.mark.parametrize("padding", [(0, 0, 0), (1, 1, 1), (1, 0, 1)])
+    @pytest.mark.parametrize("ksize", [(2, 3, 1), (3, 1, 2), (3, 3, 3)])
+    def test_matches_per_tap_reference(self, ksize, padding, budget,
+                                       monkeypatch):
+        # a one-byte budget forces one output time step per column chunk
+        if budget == "one_byte":
+            monkeypatch.setattr(engine, "_COL_BUDGET_BYTES", 1)
+        rng = np.random.default_rng(sum(ksize) + 7 * sum(padding))
+        x = rng.uniform(-1, 1, (2, 7, 6, 8))
+        k = rng.uniform(-1, 1, (3, 2) + ksize)
+        for stride in itertools.product((1, 2, 3), repeat=3):
+            y_shape = conv3d(Tensor(x), Tensor(k), stride, padding).shape
+            g = rng.uniform(-1, 1, y_shape)
+            ref = conv3d_per_tap(x, k, g, stride, padding)
+            got = conv3d_with_grads(x, k, g, stride, padding)
+            for name, r, a in zip(("y", "grad x", "grad kernel"), ref, got):
+                npt.assert_allclose(a, r, rtol=0, atol=1e-12,
+                                    err_msg=f"{name} at stride {stride}")
+
+    def test_paper_size_split_path(self):
+        # 8 ch x (4, 36, 64) with a 3x3x3 kernel: the whole-volume column
+        # matrix (16 MB) is over the budget, so it is built per time step
+        rng = np.random.default_rng(36)
+        x = rng.uniform(-1, 1, (8, 4, 36, 64))
+        k = rng.uniform(-1, 1, (8, 8, 3, 3, 3))
+        g = rng.uniform(-1, 1, (8, 4, 36, 64))
+        xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (1, 1)))
+        chunks = [(t0, t1, cols.nbytes) for t0, t1, cols in
+                  engine._im2col_chunks(xp, (3, 3, 3), (1, 1, 1), (4, 36, 64))]
+        assert [c[:2] for c in chunks] == [(0, 1), (1, 2), (2, 3), (3, 4)]
+        assert all(n <= engine._COL_BUDGET_BYTES for _, _, n in chunks)
+        ref = conv3d_per_tap(x, k, g, (1, 1, 1), (1, 1, 1))
+        got = conv3d_with_grads(x, k, g, (1, 1, 1), (1, 1, 1))
+        for r, a in zip(ref, got):
+            npt.assert_allclose(a, r, rtol=0, atol=1e-10)
+
+    def test_small_volume_single_piece(self):
+        xp = np.zeros((2, 7, 6, 8))
+        chunks = list(engine._im2col_chunks(xp, (3, 3, 3), (1, 1, 1),
+                                            (5, 4, 6)))
+        assert len(chunks) == 1 and chunks[0][:2] == (0, 5)
+
+    def test_grad_check_mixed_stride(self):
+        rng = np.random.default_rng(213)
+        x = Tensor(rng.uniform(-1, 1, (2, 5, 4, 7)), requires_grad=True)
+        k = Tensor(rng.uniform(-1, 1, (2, 2, 2, 2, 3)), requires_grad=True)
+        fn = lambda x, k: (conv3d(x, k, (2, 1, 3), (1, 1, 0)) ** 2).sum()
+        assert grad_check(fn, [x, k], eps=1e-5) < 1e-6
+
+    @pytest.mark.parametrize("budget", ["default", "one_byte"])
+    def test_float32_stays_float32(self, budget, monkeypatch):
+        if budget == "one_byte":
+            monkeypatch.setattr(engine, "_COL_BUDGET_BYTES", 1)
+        # the GEMM results themselves, not only the tensors they are cast
+        # into, must be float32: a float64 accumulator would double the work
+        valid = engine._conv3d_valid
+        gemm_dtypes = []
+
+        def spy(*args):
+            y = valid(*args)
+            gemm_dtypes.append(y.dtype)
+            return y
+
+        monkeypatch.setattr(engine, "_conv3d_valid", spy)
+        engine.set_precision("float32")
+        rng = np.random.default_rng(32)
+        x = Tensor(rng.uniform(-1, 1, (2, 4, 5, 6)), requires_grad=True)
+        k = Tensor(rng.uniform(-1, 1, (3, 2, 3, 3, 3)), requires_grad=True)
+        y = conv3d(x, k, (2, 1, 1), (1, 1, 1))
+        backward((y * y).sum())
+        assert y.data.dtype == np.float32
+        assert x.grad.dtype == np.float32
+        assert k.grad.dtype == np.float32
+        assert gemm_dtypes == [np.float32, np.float32]
 
 
 class TestConv1x1:

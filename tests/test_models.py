@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -264,6 +266,29 @@ class TestCheckpoint:
         m3 = load_checkpoint(p)
         for name, t in m2.params.items():
             npt.assert_array_equal(t.data, m3.params[name].data)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        m = build_model(tiny_config("wavenet"), seed=3)
+        p = tmp_path / "ckpt.bin"
+        save_checkpoint(m, p)
+        raw = p.read_bytes()
+        clen = struct.unpack_from("<I", raw, 8)[0]
+        # inside the header, the config, the tensor count, the first
+        # tensor's name and shape, its data, and the very last byte
+        cuts = [0, 6, 10, 12, 12 + clen // 2, 12 + clen + 2, 12 + clen + 5,
+                12 + clen + 12, len(raw) // 2, len(raw) - 1]
+        for cut in cuts:
+            p.write_bytes(raw[:cut])
+            with pytest.raises(FormatError):
+                load_checkpoint(p)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        m = build_model(tiny_config("wavenet"), seed=3)
+        p = tmp_path / "ckpt.bin"
+        save_checkpoint(m, p)
+        p.write_bytes(p.read_bytes() + b"\x00" * 4)
+        with pytest.raises(FormatError):
+            load_checkpoint(p)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.bin"

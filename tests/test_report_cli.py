@@ -5,7 +5,7 @@ from xml.etree import ElementTree as ET
 import numpy as np
 import pytest
 
-from foleygen import cli
+from foleygen import cli, generation, training
 from foleygen.avio import AudioBuffer, load_dataset, load_wav
 from foleygen.errors import FormatError
 from foleygen.generation import write_wav, write_waveform_csv
@@ -185,6 +185,31 @@ class TestCliPipeline:
                        "--rate", "20", "--out", str(svg)])
         assert rc == 0
         ET.parse(svg)  # well-formed XML
+
+    @pytest.mark.parametrize("command,target", [
+        ("generate", (generation, "generate")),
+        ("eval", (training, "evaluate")),
+    ])
+    def test_float32_precision_reaches_parameters(self, tmp_path, monkeypatch,
+                                                  command, target):
+        ds_path, ckpt = run_pipeline(tmp_path, steps=1)
+        module, name = target
+        real = getattr(module, name)
+        seen = []
+
+        def spy(model, *args, **kwargs):
+            seen.extend(t.data.dtype for t in model.params.values())
+            return real(model, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+        argv = [command, "--checkpoint", str(ckpt), "--dataset", str(ds_path),
+                "--precision", "float32"]
+        if command == "generate":
+            argv += ["--out", str(tmp_path / "out.wav"), "--frames", "1"]
+        else:
+            argv += ["--loss", "mse", "--max-windows", "2"]
+        assert cli.main(argv) == 0
+        assert seen and set(seen) == {np.dtype(np.float32)}
 
     def test_out_dir_env_redirect(self, tmp_path, monkeypatch):
         manifest = make_fixture(tmp_path)
