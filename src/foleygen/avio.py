@@ -11,7 +11,9 @@ A one-line ffmpeg transcode produces both from any source container:
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -284,20 +286,18 @@ def sample_window(d: AlignedAV, frame_index: int, audio_ctx_len: int,
         pos = frame_index * d.spf
         target = d.audio.samples[pos: pos + d.spf].copy()
 
-    A = audio_ctx_len
-    audio_ctx = np.zeros((A, 2), dtype=np.float64)
-    lo = max(0, pos - A)
-    if pos > 0:
-        audio_ctx[A - (pos - lo):] = d.audio.samples[lo:pos]
+    return ContextWindow(
+        audio_ctx=left_context(d.audio.samples, pos, audio_ctx_len),
+        video_ctx=left_context(d.video.frames, frame_index + 1, video_ctx_len),
+        target=target, frame_index=frame_index)
 
-    n = video_ctx_len
-    _, c, h, w = d.video.frames.shape
-    video_ctx = np.zeros((n, c, h, w), dtype=np.float64)
-    first = frame_index - n + 1
-    vlo = max(0, first)
-    video_ctx[n - (frame_index + 1 - vlo):] = d.video.frames[vlo: frame_index + 1]
-    return ContextWindow(audio_ctx=audio_ctx, video_ctx=video_ctx,
-                         target=target, frame_index=frame_index)
+
+def left_context(seq: np.ndarray, end: int, length: int) -> np.ndarray:
+    """The ``length`` rows of ``seq`` before index ``end``, left-zero-padded."""
+    ctx = np.zeros((length,) + seq.shape[1:], dtype=np.float64)
+    lo = max(0, end - length)
+    ctx[length - (end - lo):] = seq[lo:end]
+    return ctx
 
 
 # -- dataset container -------------------------------------------------------
@@ -311,6 +311,12 @@ class Dataset:
     """An aligned pair plus its time-ordered train/validation split."""
     av: AlignedAV
     train_fraction: float
+
+    def __post_init__(self):
+        # phrased so that NaN, which fails every comparison, is rejected too
+        if not 0.0 <= self.train_fraction <= 1.0:
+            raise ParameterError(
+                f"train_fraction {self.train_fraction} outside [0, 1]")
 
     @property
     def split_frame(self) -> int:
@@ -336,10 +342,26 @@ def save_dataset(ds: Dataset, path) -> None:
         v.frame_count, v.frames.shape[2], v.frames.shape[3],
         ds.train_fraction,
     )
-    with open(path, "wb") as f:
+    with replacing_file(path) as f:
         f.write(header)
         f.write(audio_f32.tobytes())
         f.write(frames_u8.tobytes())
+
+
+@contextmanager
+def replacing_file(path):
+    """A temp file beside ``path`` that replaces it once fully written."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+            # on disk before the rename, so a crash cannot swap in a stub
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_dataset(path) -> Dataset:
@@ -371,7 +393,10 @@ def load_dataset(path) -> Dataset:
         video=VideoClip(frames=frames, frame_rate=fps),
         spf=spf,
     )
-    return Dataset(av=av, train_fraction=frac)
+    try:
+        return Dataset(av=av, train_fraction=frac)
+    except ParameterError as e:
+        raise FormatError(f"{path}: {e}") from None
 
 
 def ingest(paired_manifest_path, target_rate: int = 8820,

@@ -15,10 +15,8 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import avio, engine, generation, models, report, training
-from .errors import FoleygenError
+from .errors import ContractError, FoleygenError
 
 _LOSS_FLAG = {
     "mse": "mse",
@@ -81,18 +79,36 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
+def _check_geometry(cfg: models.ModelConfig, what: str, ds: avio.Dataset,
+                    ds_name: str) -> None:
+    """Refuse a model config whose spf or frame size differs from the data's."""
+    _, _, h, w = ds.av.video.frames.shape
+    for key, have in (("spf", ds.av.spf), ("frame_h", h), ("frame_w", w)):
+        want = getattr(cfg, key)
+        if want != have:
+            raise ContractError(
+                f"{what} has {key} {want} but dataset {ds_name} has {key} {have}")
+
+
 def _model_config_for(args, ds: avio.Dataset) -> models.ModelConfig:
-    base = {
-        "kind": _MODEL_FLAG[args.model],
-        "spf": ds.av.spf,
-        "frame_h": ds.av.video.frames.shape[2],
-        "frame_w": ds.av.video.frames.shape[3],
-        "ctx_mode": _CTX_FLAG[args.ctx_mode],
-        "quantized": args.quantized,
-    }
-    if args.model_config:
-        base.update(json.loads(Path(args.model_config).read_text()))
-    return models.ModelConfig(**base)
+    text = Path(args.model_config).read_text() if args.model_config else "{}"
+    _, _, h, w = ds.av.video.frames.shape
+    mc = models.ModelConfig.from_json(
+        text, kind=_MODEL_FLAG[args.model], ctx_mode=_CTX_FLAG[args.ctx_mode],
+        quantized=args.quantized, spf=ds.av.spf, frame_h=h, frame_w=w)
+    _check_geometry(mc, f"model config {args.model_config}", ds, args.dataset)
+    return mc
+
+
+def _load_for_dataset(args):
+    """Load checkpoint and dataset; refuse a model built for other data."""
+    # precision first: load_checkpoint casts the parameters to it
+    engine.set_precision(args.precision)
+    model = models.load_checkpoint(args.checkpoint)
+    ds = avio.load_dataset(args.dataset)
+    _check_geometry(model.config, f"checkpoint {args.checkpoint}", ds,
+                    args.dataset)
+    return model, ds
 
 
 def _cmd_train(args) -> int:
@@ -119,10 +135,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    # precision first: load_checkpoint casts the parameters to it
-    engine.set_precision(args.precision)
-    model = models.load_checkpoint(args.checkpoint)
-    ds = avio.load_dataset(args.dataset)
+    model, ds = _load_for_dataset(args)
     audio = generation.generate(model, ds.av.video, total_frames=args.frames)
     out = _out_path(args.out)
     generation.write_wav(audio, out)
@@ -137,9 +150,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    engine.set_precision(args.precision)
-    model = models.load_checkpoint(args.checkpoint)
-    ds = avio.load_dataset(args.dataset)
+    model, ds = _load_for_dataset(args)
     kind = _LOSS_FLAG[args.loss]
     value = training.evaluate(model, ds, kind, max_windows=args.max_windows)
     table = report.loss_table([(args.video, model.config.kind, value)])

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import engine
 from .engine import Tensor, conv1x1_channels, conv3d, linear
 from .errors import ShapeError
 

@@ -125,8 +125,6 @@ class Tensor:
         return out
 
     def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):

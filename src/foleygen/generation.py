@@ -1,8 +1,9 @@
 """Autoregressive audio generation with a frozen per-frame video context.
 
 The rolling audio context contains only previously generated samples, never
-ground truth. Sample-mode models recompute the video embedding exactly once
-per frame and reuse it for that frame's spf steps.
+ground truth. Each frame's video window is embedded exactly once and reused
+for that frame's model steps: spf steps of one sample in sample mode, one
+step of spf samples in sequence mode.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ import struct
 
 import numpy as np
 
-from .avio import AudioBuffer, VideoClip
+from .avio import AudioBuffer, VideoClip, left_context
 from .engine import Tensor
-from .errors import ContractError, FormatError, RangeError
+from .errors import ContractError
 from .models import Model, dequantize
 
 
@@ -28,42 +29,17 @@ def generate(model: Model, video: VideoClip, total_frames: int | None = None) ->
         raise ContractError(
             f"requested {frames} frames but clip has {video.frame_count}"
         )
-    spf = cfg.spf
-    A, n = cfg.audio_ctx_len, cfg.video_ctx_len
+    spf, step = cfg.spf, model.step_samples
     out = np.zeros((frames * spf, 2), dtype=np.float64)
-
-    def video_ctx(frame_index):
-        ctx = np.zeros((n,) + video.frames.shape[1:], dtype=np.float64)
-        lo = max(0, frame_index - n + 1)
-        ctx[n - (frame_index + 1 - lo):] = video.frames[lo: frame_index + 1]
-        return ctx
-
-    def audio_ctx(pos):
-        ctx = np.zeros((A, 2), dtype=np.float64)
-        lo = max(0, pos - A)
-        if pos > 0:
-            ctx[A - (pos - lo):] = out[lo:pos]
-        return ctx
-
-    if model.mode == "sequence":
-        for f in range(frames):
-            a = Tensor(audio_ctx(f * spf).T)
-            v = Tensor(video_ctx(f).transpose(1, 0, 2, 3))
-            from .models import deep_fusion_forward  # local to avoid cycle noise
-            seg = deep_fusion_forward(a, v, model.p)
-            out[f * spf:(f + 1) * spf] = seg.data.T
-    else:
-        for f in range(frames):
-            embed = model.embed(video_ctx(f))
-            for off in range(spf):
-                pos = f * spf + off
-                a = Tensor(audio_ctx(pos).T)
-                y = model.forward_core(a, embed)
-                if cfg.quantized:
-                    bins = np.argmax(y.data, axis=1)
-                    out[pos] = [dequantize(int(b)) for b in bins]
-                else:
-                    out[pos] = y.data
+    for f in range(frames):
+        frame_ctx = model.embed(left_context(video.frames, f + 1,
+                                             cfg.video_ctx_len))
+        for pos in range(f * spf, (f + 1) * spf, step):
+            audio = Tensor(left_context(out, pos, cfg.audio_ctx_len).T)
+            y = model.forward_core(audio, frame_ctx).data
+            if model.quantized:
+                y = dequantize(np.argmax(y, axis=-1))
+            out[pos:pos + step] = y.reshape(2, step).T
     out = np.clip(out, -1.0, 1.0)
     return AudioBuffer(samples=out, sample_rate=video.frame_rate * spf)
 

@@ -1,4 +1,4 @@
-"""The three generator architectures behind one forward interface.
+"""The three generator architectures behind one model step.
 
 Sequence mode (deep fusion) emits the whole audio segment for the next
 frame; sample mode (wavenet, transformer) emits one stereo sample per step.
@@ -7,15 +7,17 @@ All architecture sizes are config-driven; defaults are desk-scale.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import engine
+from .avio import replacing_file
 from .crossmodal import (
     ProjectionParams,
     ResBlock3DParams,
@@ -38,7 +40,6 @@ from .engine import (
     scalar_scale,
 )
 from .errors import (
-    ContractError,
     FormatError,
     ParameterError,
     RangeError,
@@ -49,8 +50,30 @@ from .errors import (
 MODEL_KINDS = ("deep_fusion", "wavenet", "transformer")
 
 
+class JsonConfig:
+    """JSON round trip for a config dataclass, with typed errors on input."""
+
+    def to_json(self) -> str:
+        return json.dumps(asdict(self))
+
+    @classmethod
+    def from_json(cls, text: str, **defaults):
+        """Build from a JSON object whose keys override ``defaults``."""
+        try:
+            fields = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise FormatError(f"malformed {cls.__name__} JSON: {e}") from None
+        if not isinstance(fields, dict):
+            raise FormatError(f"{cls.__name__} JSON must be an object")
+        unknown = set(fields) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ParameterError(
+                f"unknown {cls.__name__} field(s): {', '.join(sorted(unknown))}")
+        return cls(**{**defaults, **fields})
+
+
 @dataclass
-class ModelConfig:
+class ModelConfig(JsonConfig):
     kind: str = "transformer"
     audio_ctx_len: int = 64          # A
     video_ctx_len: int = 4           # n
@@ -82,19 +105,13 @@ class ModelConfig:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ParameterError(f"unknown model kind {self.kind!r}")
-        if self.spf < 1:
-            raise ParameterError("spf must be >= 1")
+        if min(self.spf, self.audio_ctx_len, self.video_ctx_len) < 1:
+            raise ParameterError(
+                "spf, audio_ctx_len and video_ctx_len must be >= 1")
         if self.ctx_mode not in ("strided_embed", "raw_short"):
             raise ParameterError(f"unknown ctx_mode {self.ctx_mode!r}")
         self.wn_dilations = tuple(self.wn_dilations)
         self.strided_schedule = tuple(self.strided_schedule)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
-    @staticmethod
-    def from_json(text: str) -> "ModelConfig":
-        return ModelConfig(**json.loads(text))
 
 
 # -- amplitude quantization ---------------------------------------------------
@@ -348,84 +365,76 @@ def transformer_forward(audio_ctx: Tensor, video_embed: Tensor,
 
 
 class Model:
-    """Common surface: config, named parameters, and window-based forward."""
+    """One step for every caller: ``forward_core(audio_ctx, embed(video_ctx))``.
 
-    def __init__(self, config: ModelConfig):
+    ``embed`` turns an (n, 3, H, W) video window into the frame context,
+    once per frame; deep fusion has no embedder and keeps the raw video.
+    """
+
+    def __init__(self, config: ModelConfig, p, params: dict[str, Tensor]):
         self.config = config
-        self.params: dict[str, Tensor] = {}
-        self.embed_calls = 0
+        self.p = p
+        self.params = params
+        self.embedder = getattr(p, "embedder", None)
 
     @property
     def mode(self) -> str:
         return "sequence" if self.config.kind == "deep_fusion" else "sample"
 
+    @property
+    def step_samples(self) -> int:
+        """Samples per ``forward_core`` call: spf in sequence mode, else 1."""
+        return self.config.spf if self.mode == "sequence" else 1
+
+    @property
+    def quantized(self) -> bool:
+        """True if ``forward_core`` emits 256-bin logits: quantized transformer."""
+        return self.config.kind == "transformer" and self.config.quantized
+
     def param_count(self) -> int:
         return sum(t.data.size for t in self.params.values())
 
-    def forward_window(self, window) -> Tensor:
+    def embed(self, video_ctx) -> Tensor:
+        video = Tensor(np.asarray(video_ctx).transpose(1, 0, 2, 3))
+        if self.embedder is None:
+            return video
+        return embed_video_context(video, self.embedder)
+
+    def forward_core(self, audio_ctx: Tensor, frame_ctx: Tensor) -> Tensor:
         raise NotImplementedError
 
-    def _audio_tensor(self, audio_ctx) -> Tensor:
-        return Tensor(np.asarray(audio_ctx).T)        # (A, 2) -> (2, A)
-
-    def _video_tensor(self, video_ctx) -> Tensor:
-        return Tensor(np.asarray(video_ctx).transpose(1, 0, 2, 3))  # -> (3,n,H,W)
+    def forward_window(self, window) -> Tensor:
+        audio = Tensor(np.asarray(window.audio_ctx).T)  # (A, 2) -> (2, A)
+        return self.forward_core(audio, self.embed(window.video_ctx))
 
 
 class DeepFusionModel(Model):
     def __init__(self, config: ModelConfig, rng):
-        super().__init__(config)
-        self.p = _build_deep_fusion(config, rng)
-        self.params = _collect_fusion(self.p)
+        p = _build_deep_fusion(config, rng)
+        super().__init__(config, p, _collect_fusion(p))
 
-    def forward_window(self, window) -> Tensor:
-        return deep_fusion_forward(self._audio_tensor(window.audio_ctx),
-                                   self._video_tensor(window.video_ctx),
-                                   self.p)
+    def forward_core(self, audio_ctx, frame_ctx):
+        return deep_fusion_forward(audio_ctx, frame_ctx, self.p)
 
 
-class _EmbeddingModel(Model):
-    """Shared base for the sample-mode models that embed video once per frame."""
-
-    embedder: VideoEmbedderParams
-
-    def embed(self, video_ctx) -> Tensor:
-        self.embed_calls += 1
-        return embed_video_context(self._video_tensor(video_ctx), self.embedder)
-
-    def forward_core(self, audio_ctx: Tensor, video_embed: Tensor) -> Tensor:
-        raise NotImplementedError
-
-    def forward_window(self, window) -> Tensor:
-        return self.forward_core(self._audio_tensor(window.audio_ctx),
-                                 self.embed(window.video_ctx))
-
-
-class WavenetModel(_EmbeddingModel):
+class WavenetModel(Model):
     def __init__(self, config: ModelConfig, rng):
-        super().__init__(config)
-        self.p = _build_wavenet(config, rng)
-        self.embedder = self.p.embedder
-        self.params = _collect_wavenet(self.p)
+        p = _build_wavenet(config, rng)
+        super().__init__(config, p, _collect_wavenet(p))
 
-    def receptive_field(self) -> int:
-        return wavenet_receptive_field(self.config)
-
-    def forward_core(self, audio_ctx, video_embed):
-        return wavenet_forward(audio_ctx, video_embed, self.p)
+    def forward_core(self, audio_ctx, frame_ctx):
+        return wavenet_forward(audio_ctx, frame_ctx, self.p)
 
 
-class TransformerModel(_EmbeddingModel):
+class TransformerModel(Model):
     def __init__(self, config: ModelConfig, rng):
-        super().__init__(config)
-        self.p = _build_transformer(config, rng)
-        self.embedder = self.p.embedder
-        self.params = _collect_transformer(self.p)
+        p = _build_transformer(config, rng)
+        super().__init__(config, p, _collect_transformer(p))
 
-    def forward_core(self, audio_ctx, video_embed):
-        return transformer_forward(audio_ctx, video_embed, self.p,
+    def forward_core(self, audio_ctx, frame_ctx):
+        return transformer_forward(audio_ctx, frame_ctx, self.p,
                                    self.config.ctx_mode,
-                                   quantized=self.config.quantized)
+                                   quantized=self.quantized)
 
 
 def _collect_fusion(p: DeepFusionParams) -> dict:
@@ -486,7 +495,7 @@ _CKPT_VERSION = 1
 def save_checkpoint(model: Model, path) -> None:
     """Binary checkpoint: magic, version, JSON config, float32 parameters."""
     cfg_bytes = model.config.to_json().encode()
-    with open(path, "wb") as f:
+    with replacing_file(path) as f:
         f.write(_CKPT_MAGIC)
         f.write(struct.pack("<I", _CKPT_VERSION))
         f.write(struct.pack("<I", len(cfg_bytes)))
@@ -527,7 +536,7 @@ def load_checkpoint(path) -> Model:
     (clen,) = unpack("<I")
     try:
         config = ModelConfig.from_json(bytes(take(clen)).decode())
-    except (UnicodeDecodeError, json.JSONDecodeError, TypeError) as e:
+    except (UnicodeDecodeError, TypeError, FormatError, ParameterError) as e:
         raise FormatError(f"{path}: unreadable model config: {e}") from None
     model = build_model(config, seed=0)
     (n,) = unpack("<I")

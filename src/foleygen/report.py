@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import numpy as np

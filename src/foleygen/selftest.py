@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import engine
-from .avio import AlignedAV, AudioBuffer, VideoClip, align, sample_window
+from .avio import AudioBuffer, VideoClip, align, sample_window
 from .engine import (
     AttentionParams,
     Tensor,

@@ -10,17 +10,14 @@ exists to mirror the sign convention of published validation numbers.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import engine
 from .avio import Dataset, sample_window
 from .engine import Tensor, backward
 from .errors import ContractError, ParameterError, ShapeError, TrainingDivergedError
-from .models import Model, quantize, save_checkpoint
+from .models import JsonConfig, Model, quantize, save_checkpoint
 
 LOSS_KINDS = ("mse", "mae", "xent_bernoulli", "xent_paper_literal",
               "xent_categorical")
@@ -111,7 +108,7 @@ class Adam:
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(JsonConfig):
     learning_rate: float = 1e-3
     steps: int = 100
     batch_size: int = 1
@@ -130,13 +127,6 @@ class TrainConfig:
         if self.loss_kind not in LOSS_KINDS:
             raise ParameterError(f"unknown loss kind {self.loss_kind!r}")
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
-    @staticmethod
-    def from_json(text: str) -> "TrainConfig":
-        return TrainConfig(**json.loads(text))
-
 
 @dataclass
 class TrainReport:
@@ -151,13 +141,6 @@ def _window_for(model: Model, ds: Dataset, frame_index: int,
     return sample_window(ds.av, frame_index, cfg.audio_ctx_len,
                          cfg.video_ctx_len, target_kind=kind,
                          sample_offset=sample_offset)
-
-
-def _target_for(model: Model, window):
-    # model outputs are (2, spf) in sequence mode, (2,) or (2, 256) in sample
-    if model.mode == "sequence":
-        return window.target.T                         # (spf, 2) -> (2, spf)
-    return window.target                               # (2,)
 
 
 def train(model: Model, dataset: Dataset, cfg: TrainConfig,
@@ -185,7 +168,9 @@ def train(model: Model, dataset: Dataset, cfg: TrainConfig,
             offset = int(rng.integers(0, spf)) if model.mode == "sample" else 0
             window = _window_for(model, dataset, frame_index, offset)
             out = model.forward_window(window)
-            l = loss(cfg.loss_kind, out, _target_for(model, window))
+            # (spf, 2) frame targets transpose to the (2, spf) output; a
+            # (2,) sample target is its own transpose
+            l = loss(cfg.loss_kind, out, window.target.T)
             total = l if total is None else total + l
         if cfg.batch_size > 1:
             total = total * (1.0 / cfg.batch_size)
@@ -228,11 +213,8 @@ def evaluate(model: Model, dataset: Dataset, kind: str,
     val_frames = list(dataset.val_frames())
     if not val_frames:
         raise ContractError("validation split is empty")
-    spf = dataset.av.spf
-    if model.mode == "sequence":
-        pairs = [(f, 0) for f in val_frames]
-    else:
-        pairs = [(f, off) for f in val_frames for off in range(spf)]
+    offsets = range(0, dataset.av.spf, model.step_samples)
+    pairs = [(f, off) for f in val_frames for off in offsets]
     if max_windows is not None and len(pairs) > max_windows:
         stride = max(1, len(pairs) // max_windows)
         pairs = pairs[::stride][:max_windows]
@@ -240,5 +222,5 @@ def evaluate(model: Model, dataset: Dataset, kind: str,
     for frame_index, offset in pairs:
         window = _window_for(model, dataset, frame_index, offset)
         out = model.forward_window(window)
-        total += float(loss(kind, out, _target_for(model, window)).data)
+        total += float(loss(kind, out, window.target.T).data)
     return total / len(pairs)

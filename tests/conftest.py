@@ -1,3 +1,5 @@
+import builtins
+
 import numpy as np
 import pytest
 
@@ -43,3 +45,31 @@ def make_dataset(frames=12, spf=4, h=4, w=4, fps=5, seed=0,
         spf=spf,
     )
     return Dataset(av=av, train_fraction=train_fraction)
+
+
+def fail_on_nth_write(monkeypatch, module, n: int) -> None:
+    """Make the ``n``-th ``write`` on files that ``module`` opens raise OSError."""
+    calls = []
+
+    class FailingFile:
+        def __init__(self, f):
+            self.f = f
+
+        def write(self, data):
+            calls.append(len(data))
+            if len(calls) == n:
+                raise OSError("disk full")
+            return self.f.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self.f, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.f.__exit__(*exc)
+
+    monkeypatch.setattr(module, "open",
+                        lambda *a, **k: FailingFile(builtins.open(*a, **k)),
+                        raising=False)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foleygen import avio
 from foleygen.avio import (
     AudioBuffer,
     VideoClip,
@@ -27,7 +28,7 @@ from foleygen.errors import (
     ParameterError,
     UnsupportedError,
 )
-from conftest import make_dataset
+from conftest import fail_on_nth_write, make_dataset
 
 
 def write_pcm16_wav(path, samples, rate):
@@ -293,6 +294,41 @@ class TestDataset:
         ds = make_dataset(frames=8, train_fraction=0.75)
         assert list(ds.train_frames()) == [0, 1, 2, 3, 4, 5]
         assert list(ds.val_frames()) == [6, 7]
+
+    @pytest.mark.parametrize("frac", [-0.1, 1.5, float("nan"), float("inf")])
+    def test_train_fraction_outside_unit_interval(self, frac, tmp_path):
+        with pytest.raises(ParameterError):
+            make_dataset(train_fraction=frac)
+        # the same value read back from a file is a format error
+        p = tmp_path / "ds.bin"
+        save_dataset(make_dataset(train_fraction=1.0), p)
+        raw = bytearray(p.read_bytes())
+        struct.pack_into("<d", raw, struct.calcsize("<4sIIIIIII"), frac)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError):
+            load_dataset(p)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "ds.bin"
+        save_dataset(make_dataset(seed=1), p)
+        before = p.read_bytes()
+        fail_on_nth_write(monkeypatch, avio, 2)
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset(make_dataset(seed=2), p)
+        assert p.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["ds.bin"]
+
+
+    def test_save_syncs_before_replacing(self, tmp_path, monkeypatch):
+        events = []
+        fsync, replace = avio.os.fsync, avio.os.replace
+        monkeypatch.setattr(avio.os, "fsync",
+                            lambda fd: (events.append("fsync"), fsync(fd)))
+        monkeypatch.setattr(avio.os, "replace",
+                            lambda a, b: (events.append("replace"),
+                                          replace(a, b)))
+        save_dataset(make_dataset(), tmp_path / "ds.bin")
+        assert events == ["fsync", "replace"]
 
 
 class TestIngest:

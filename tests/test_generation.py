@@ -37,8 +37,16 @@ class TestGenerate:
     def test_embed_count_equals_frame_count(self):
         cfg = tiny_config("wavenet", spf=3)
         model = build_model(cfg, seed=2)
+        calls = []
+        inner = model.embed
+
+        def spy(video_ctx):
+            calls.append(video_ctx)
+            return inner(video_ctx)
+
+        model.embed = spy
         generate(model, make_video(frames=6))
-        assert model.embed_calls == 6
+        assert len(calls) == 6
 
     def test_first_context_all_zero_and_pure_autoregression(self):
         cfg = tiny_config("wavenet", spf=3, audio_ctx_len=8)
@@ -74,6 +82,17 @@ class TestGenerate:
         audio = generate(model, make_video(frames=3))
         bins = (audio.samples + 1.0) / 2.0 * 255.0
         npt.assert_allclose(bins, np.round(bins), atol=1e-9)
+
+    @pytest.mark.parametrize("kind,spf", [
+        ("deep_fusion", 4), ("deep_fusion", 1), ("wavenet", 3),
+    ])
+    def test_quantized_flag_ignored_without_quantized_head(self, kind, spf):
+        # only the transformer has a 256-bin head; the others emit amplitudes
+        audio = [generate(build_model(tiny_config(kind, spf=spf, quantized=q),
+                                      seed=8), make_video(frames=3)).samples
+                 for q in (False, True)]
+        npt.assert_array_equal(audio[0], audio[1])
+        assert np.abs(audio[1]).max() < 1.0
 
     def test_deterministic(self):
         cfg = tiny_config("wavenet", spf=3)

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from foleygen import avio
 from foleygen.engine import Tensor, conv1d_causal, grad_check, linear
 from foleygen.errors import ContractError, FormatError, ParameterError, RangeError, ShapeError
 from foleygen.models import (
@@ -18,7 +19,24 @@ from foleygen.models import (
     wavenet_forward,
     wavenet_receptive_field,
 )
-from conftest import tiny_config
+from conftest import fail_on_nth_write, tiny_config
+
+
+class TestConfigJson:
+    @pytest.mark.parametrize("text,error", [
+        ('{"spf": 4', FormatError),
+        ("[1, 2]", FormatError),
+        ('{"spff": 4}', ParameterError),
+        ('{"audio_ctx_len": 0}', ParameterError),
+        ('{"video_ctx_len": 0}', ParameterError),
+    ])
+    def test_typed_errors(self, text, error):
+        with pytest.raises(error):
+            ModelConfig.from_json(text)
+
+    def test_json_overrides_defaults(self):
+        cfg = ModelConfig.from_json('{"spf": 7}', spf=3, frame_h=5)
+        assert (cfg.spf, cfg.frame_h) == (7, 5)
 
 
 class TestQuantize:
@@ -289,6 +307,16 @@ class TestCheckpoint:
         p.write_bytes(p.read_bytes() + b"\x00" * 4)
         with pytest.raises(FormatError):
             load_checkpoint(p)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "ckpt.bin"
+        save_checkpoint(build_model(tiny_config("wavenet"), seed=3), p)
+        before = p.read_bytes()
+        fail_on_nth_write(monkeypatch, avio, 8)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(build_model(tiny_config("wavenet"), seed=4), p)
+        assert p.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["ckpt.bin"]
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.bin"

@@ -236,5 +236,75 @@ class TestCliPipeline:
                        "--model", "wavenet", "--out", str(tmp_path / "m.bin")])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["generate", "eval"])
+    @pytest.mark.parametrize("ingest_args,key,values", [
+        (["--rate", "40", "--height", "4", "--width", "4"], "spf", ("4", "8")),
+        (["--rate", "20", "--height", "2", "--width", "4"], "frame_h", ("4", "2")),
+        (["--rate", "20", "--height", "4", "--width", "3"], "frame_w", ("4", "3")),
+    ])
+    def test_checkpoint_for_other_dataset_refused(self, tmp_path, capsys,
+                                                  command, ingest_args, key,
+                                                  values):
+        _, ckpt = run_pipeline(tmp_path, steps=1)
+        other = tmp_path / "other.bin"
+        assert cli.main(["ingest", "--manifest", str(tmp_path / "pair.json"),
+                         "--out", str(other)] + ingest_args) == 0
+        capsys.readouterr()
+        argv = [command, "--checkpoint", str(ckpt), "--dataset", str(other)]
+        if command == "generate":
+            argv += ["--out", str(tmp_path / "out.wav")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{key} {values[0]}" in err and f"{key} {values[1]}" in err
+        assert not (tmp_path / "out.wav").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("spf", 8), ("frame_h", 2), ("frame_w", 3),
+    ])
+    def test_model_config_for_other_dataset_refused(self, tmp_path, capsys,
+                                                    key, value):
+        manifest = make_fixture(tmp_path)
+        ds_path = tmp_path / "data.bin"
+        assert cli.main(["ingest", "--manifest", str(manifest),
+                         "--out", str(ds_path), "--rate", "20",
+                         "--height", "4", "--width", "4"]) == 0
+        (tmp_path / "train.json").write_text(json.dumps({"steps": 1}))
+        (tmp_path / "model.json").write_text(
+            json.dumps({**TINY_WAVENET, key: value}))
+        capsys.readouterr()
+        ckpt = tmp_path / "m.bin"
+        assert cli.main(["train", "--dataset", str(ds_path),
+                         "--config", str(tmp_path / "train.json"),
+                         "--model", "wavenet",
+                         "--model-config", str(tmp_path / "model.json"),
+                         "--out", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert f"{key} {value}" in err and f"{key} 4" in err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("flag,text", [
+        ("--config", '{"steps": 1,'),
+        ("--config", '{"steps": 1, "stepz": 2}'),
+        ("--model-config", '{"wn_channelz": 3}'),
+        ("--model-config", '{"audio_ctx_len": 0}'),
+    ])
+    def test_bad_config_file_exit_code(self, tmp_path, capsys, flag, text):
+        manifest = make_fixture(tmp_path)
+        ds_path = tmp_path / "data.bin"
+        assert cli.main(["ingest", "--manifest", str(manifest),
+                         "--out", str(ds_path), "--rate", "20",
+                         "--height", "4", "--width", "4"]) == 0
+        files = {"--config": '{"steps": 1}', "--model-config": "{}"}
+        files[flag] = text
+        argv = ["train", "--dataset", str(ds_path), "--model", "wavenet",
+                "--out", str(tmp_path / "m.bin")]
+        for name, body in files.items():
+            path = tmp_path / f"{name.strip('-')}.json"
+            path.write_text(body)
+            argv += [name, str(path)]
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_selftest_passes(self):
         assert cli.main(["selftest"]) == 0
