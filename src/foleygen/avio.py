@@ -116,7 +116,7 @@ def load_wav(path) -> AudioBuffer:
 
     Mono is duplicated to two channels; 16-bit PCM is scaled by 1/32768.
     """
-    raw = Path(path).read_bytes()
+    raw = read_input(path)
     if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise FormatError(f"{path}: not a RIFF/WAVE file")
     pos = 12
@@ -174,7 +174,7 @@ def load_clip(manifest_path) -> VideoClip:
         if field not in meta:
             raise FormatError(f"{manifest_path}: missing field {field!r}")
     f, h, w = int(meta["frame_count"]), int(meta["height"]), int(meta["width"])
-    raw = (mpath.parent / meta["frames_file"]).read_bytes()
+    raw = read_input(mpath.parent / meta["frames_file"])
     expected = f * 3 * h * w
     if len(raw) != expected:
         raise FormatError(
@@ -364,8 +364,16 @@ def replacing_file(path):
         tmp.unlink(missing_ok=True)
 
 
+def read_input(path) -> bytes:
+    """The bytes of an input file; a missing or unreadable one is a FormatError."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as e:
+        raise FormatError(f"{path}: cannot read: {e.strerror or e}") from None
+
+
 def load_dataset(path) -> Dataset:
-    raw = Path(path).read_bytes()
+    raw = read_input(path)
     hsize = struct.calcsize("<4sIIIIIIId")
     if len(raw) < hsize:
         raise FormatError(f"{path}: truncated dataset header")

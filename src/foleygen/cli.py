@@ -91,7 +91,7 @@ def _check_geometry(cfg: models.ModelConfig, what: str, ds: avio.Dataset,
 
 
 def _model_config_for(args, ds: avio.Dataset) -> models.ModelConfig:
-    text = Path(args.model_config).read_text() if args.model_config else "{}"
+    text = avio.read_input(args.model_config) if args.model_config else "{}"
     _, _, h, w = ds.av.video.frames.shape
     mc = models.ModelConfig.from_json(
         text, kind=_MODEL_FLAG[args.model], ctx_mode=_CTX_FLAG[args.ctx_mode],
@@ -113,7 +113,7 @@ def _load_for_dataset(args):
 
 def _cmd_train(args) -> int:
     ds = avio.load_dataset(args.dataset)
-    tc = training.TrainConfig.from_json(Path(args.config).read_text())
+    tc = training.TrainConfig.from_json(avio.read_input(args.config))
     if args.seed is not None:
         tc.seed = args.seed
     if args.loss is not None:

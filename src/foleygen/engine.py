@@ -9,10 +9,15 @@ Design constraints:
   * single global precision (float64 default, float32 for training speed)
   * no implicit broadcasting except bias addition inside ``linear``
   * bit-deterministic: same inputs, same outputs
+  * recording is scoped per thread: inside ``with no_grad():`` an op's
+    result records no parents and no backward closure, so inference
+    (generation, evaluation) builds no tape; the computed values are the
+    same with and without the scope
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import threading
 from dataclasses import dataclass
@@ -38,6 +43,29 @@ def get_precision() -> str:
 
 def dtype() -> type:
     return _DTYPE
+
+
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape in this thread for the duration of the block.
+
+    Results computed inside have ``requires_grad=False`` and no parents.
+    Leaf tensors keep their flag, so training after the block is unchanged.
+    The previous mode is restored on exit, also when the block raises.
+    """
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = prev
 
 
 class Tensor:
@@ -76,7 +104,8 @@ class Tensor:
     def _result(data, parents, backward_fn):
         out = Tensor.__new__(Tensor)
         out.data = np.asarray(data, dtype=_DTYPE)
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = (_grad_mode.enabled
+                             and any(p.requires_grad for p in parents))
         out.grad = None
         if out.requires_grad:
             out._parents = tuple(parents)
@@ -432,6 +461,11 @@ def conv1d_causal(x: Tensor, kernel: Tensor, dilation: int = 1) -> Tensor:
     """Left-padded dilated convolution: output t sees x[.., t - d*k] only.
 
     x: (ch_in, T), kernel: (ch_out, ch_in, K) -> (ch_out, T)
+
+    Shift-and-GEMM, with no padded copy of x: tap 0 is ``W[:, :, 0] @ x``
+    and tap k adds ``W[:, :, k] @ x[:, :T-k*d]`` into ``y[:, k*d:]``; the
+    backward pass uses the same slices. A tap with k*d >= T sees only the
+    zero padding and is skipped.
     """
     if not isinstance(dilation, int) or dilation < 1:
         raise ParameterError(f"dilation must be a positive int, got {dilation}")
@@ -448,22 +482,24 @@ def conv1d_causal(x: Tensor, kernel: Tensor, dilation: int = 1) -> Tensor:
     if K < 1:
         raise ParameterError("kernel size must be >= 1")
     T = x.shape[1]
-    pad = (K - 1) * dilation
-    xp = np.pad(x.data, ((0, 0), (pad, 0)))
-    y = np.zeros((ch_out, T), dtype=_DTYPE)
-    for k in range(K):
-        y += kernel.data[:, :, k] @ xp[:, pad - k * dilation: pad - k * dilation + T]
+    shifts = range(dilation, min(K * dilation, T), dilation)
+    w, xd = kernel.data, x.data
+    y = w[:, :, 0] @ xd
+    for k, s in enumerate(shifts, 1):
+        y[:, s:] += w[:, :, k] @ xd[:, :T - s]
     out = Tensor._result(y, (x, kernel), None)
     if out.requires_grad:
-        def bw(g, x=x, kernel=kernel, xp=xp, pad=pad, d=dilation, K=K, T=T):
+        def bw(g, x=x, kernel=kernel, xd=xd):
+            w = kernel.data
             if kernel.requires_grad:
-                for k in range(K):
-                    kernel.grad[:, :, k] += g @ xp[:, pad - k * d: pad - k * d + T].T
+                kernel.grad[:, :, 0] += g @ xd.T
+                for k, s in enumerate(shifts, 1):
+                    kernel.grad[:, :, k] += g[:, s:] @ xd[:, :T - s].T
             if x.requires_grad:
-                gxp = np.zeros_like(xp)
-                for k in range(K):
-                    gxp[:, pad - k * d: pad - k * d + T] += kernel.data[:, :, k].T @ g
-                x.grad += gxp[:, pad:]
+                gx = w[:, :, 0].T @ g
+                for k, s in enumerate(shifts, 1):
+                    gx[:, :T - s] += w[:, :, k].T @ g[:, s:]
+                x.grad += gx
         out._backward = bw
     return out
 

@@ -3,7 +3,8 @@
 The rolling audio context contains only previously generated samples, never
 ground truth. Each frame's video window is embedded exactly once and reused
 for that frame's model steps: spf steps of one sample in sample mode, one
-step of spf samples in sequence mode.
+step of spf samples in sequence mode. Nothing is differentiated, so the
+loop runs under ``engine.no_grad`` and records no tape.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import struct
 import numpy as np
 
 from .avio import AudioBuffer, VideoClip, left_context
-from .engine import Tensor
+from .engine import Tensor, no_grad
 from .errors import ContractError
 from .models import Model, dequantize
 
@@ -31,15 +32,16 @@ def generate(model: Model, video: VideoClip, total_frames: int | None = None) ->
         )
     spf, step = cfg.spf, model.step_samples
     out = np.zeros((frames * spf, 2), dtype=np.float64)
-    for f in range(frames):
-        frame_ctx = model.embed(left_context(video.frames, f + 1,
-                                             cfg.video_ctx_len))
-        for pos in range(f * spf, (f + 1) * spf, step):
-            audio = Tensor(left_context(out, pos, cfg.audio_ctx_len).T)
-            y = model.forward_core(audio, frame_ctx).data
-            if model.quantized:
-                y = dequantize(np.argmax(y, axis=-1))
-            out[pos:pos + step] = y.reshape(2, step).T
+    with no_grad():
+        for f in range(frames):
+            frame_ctx = model.embed(left_context(video.frames, f + 1,
+                                                 cfg.video_ctx_len))
+            for pos in range(f * spf, (f + 1) * spf, step):
+                audio = Tensor(left_context(out, pos, cfg.audio_ctx_len).T)
+                y = model.forward_core(audio, frame_ctx).data
+                if model.quantized:
+                    y = dequantize(np.argmax(y, axis=-1))
+                out[pos:pos + step] = y.reshape(2, step).T
     out = np.clip(out, -1.0, 1.0)
     return AudioBuffer(samples=out, sample_rate=video.frame_rate * spf)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .avio import Dataset, sample_window
-from .engine import Tensor, backward
+from .engine import Tensor, backward, no_grad
 from .errors import ContractError, ParameterError, ShapeError, TrainingDivergedError
 from .models import JsonConfig, Model, quantize, save_checkpoint
 
@@ -114,7 +114,7 @@ class TrainConfig(JsonConfig):
     batch_size: int = 1
     seed: int = 0
     loss_kind: str = "xent_bernoulli"
-    clip_norm: float = 1.0
+    clip_norm: float | None = 1.0       # None: no clipping
     checkpoint_interval: int = 50
 
     def __post_init__(self):
@@ -205,7 +205,7 @@ def write_loss_csv(report: TrainReport, path) -> None:
 
 def evaluate(model: Model, dataset: Dataset, kind: str,
              max_windows: int | None = None) -> float:
-    """Mean loss over the validation windows; no parameter updates.
+    """Mean loss over the validation windows; no parameter updates, no tape.
 
     Sample-mode models have one window per (frame, offset) pair;
     ``max_windows`` caps the count by striding deterministically.
@@ -219,8 +219,9 @@ def evaluate(model: Model, dataset: Dataset, kind: str,
         stride = max(1, len(pairs) // max_windows)
         pairs = pairs[::stride][:max_windows]
     total = 0.0
-    for frame_index, offset in pairs:
-        window = _window_for(model, dataset, frame_index, offset)
-        out = model.forward_window(window)
-        total += float(loss(kind, out, window.target.T).data)
+    with no_grad():
+        for frame_index, offset in pairs:
+            window = _window_for(model, dataset, frame_index, offset)
+            out = model.forward_window(window)
+            total += float(loss(kind, out, window.target.T).data)
     return total / len(pairs)

@@ -134,6 +134,24 @@ class TestLoadClip:
             load_clip(m)
 
 
+class TestMissingInputFile:
+    @pytest.mark.parametrize("load", [load_wav, load_dataset])
+    def test_missing_file_is_format_error(self, tmp_path, load):
+        with pytest.raises(FormatError, match="nope.bin"):
+            load(tmp_path / "nope.bin")
+
+    def test_directory_is_format_error(self, tmp_path):
+        with pytest.raises(FormatError):
+            load_dataset(tmp_path)
+
+    def test_missing_frames_file_is_format_error(self, tmp_path):
+        m = write_clip(tmp_path, np.zeros((1, 2, 2, 3)), 30)
+        meta = json.loads(m.read_text())
+        (m.parent / meta["frames_file"]).unlink()
+        with pytest.raises(FormatError, match=meta["frames_file"]):
+            load_clip(m)
+
+
 class TestDownsample:
     def test_dc_preserved(self):
         a = AudioBuffer(samples=np.full((44100, 2), 0.5), sample_rate=44100)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import threading
 
 import numpy as np
 import numpy.testing as npt
@@ -86,6 +87,117 @@ class TestConv1dCausal:
             y1 = conv1d_causal(Tensor(xp), k, 2).data
             npt.assert_array_equal(y0[:, :t], y1[:, :t])
             assert not np.array_equal(y0[:, t:], y1[:, t:])
+
+
+def conv1d_causal_padded(x, k, g, dilation):
+    """The original padded per-tap conv1d_causal: forward and both gradients.
+
+    x is left-padded by (K-1)*dilation zeros and every tap reads a length-T
+    slice of the padded copy. Kept as the reference for the shift-and-GEMM
+    implementation; g is the output gradient.
+    """
+    K, T = k.shape[2], x.shape[1]
+    pad = (K - 1) * dilation
+    xp = np.pad(x, ((0, 0), (pad, 0)))
+    y = np.zeros((k.shape[0], T))
+    gk = np.zeros_like(k)
+    gxp = np.zeros_like(xp)
+    for tap in range(K):
+        sl = slice(pad - tap * dilation, pad - tap * dilation + T)
+        y += k[:, :, tap] @ xp[:, sl]
+        gk[:, :, tap] += g @ xp[:, sl].T
+        gxp[:, sl] += k[:, :, tap].T @ g
+    return y, gxp[:, pad:], gk
+
+
+class TestConv1dCausalShiftGemm:
+    """The shift-and-GEMM conv1d_causal against the padded reference."""
+
+    @pytest.mark.parametrize("dilation", [1, 2, 4, 64])
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_matches_padded_reference(self, K, dilation):
+        rng = np.random.default_rng(10 * K + dilation)
+        # lengths on both sides of (K-1)*dilation: the short ones leave
+        # taps that see only padding, which the implementation skips
+        for T in (1, 2, 3, dilation, dilation + 1, 64, 150):
+            x = rng.uniform(-1, 1, (3, T))
+            k = rng.uniform(-1, 1, (4, 3, K))
+            g = rng.uniform(-1, 1, (4, T))
+            xt = Tensor(x, requires_grad=True)
+            kt = Tensor(k, requires_grad=True)
+            y = conv1d_causal(xt, kt, dilation)
+            backward((y * Tensor(g)).sum())
+            ref = conv1d_causal_padded(x, k, g, dilation)
+            for name, r, a in zip(("y", "grad x", "grad kernel"), ref,
+                                  (y.data, xt.grad, kt.grad)):
+                npt.assert_allclose(a, r, rtol=0, atol=1e-12,
+                                    err_msg=f"{name} at T={T}")
+
+    def test_grad_check_with_skipped_tap(self):
+        # (K-1)*d = 8 >= T = 6: tap 2 is skipped, tap 1 is partial
+        rng = np.random.default_rng(64)
+        x = Tensor(rng.uniform(-1, 1, (2, 6)), requires_grad=True)
+        k = Tensor(rng.uniform(-1, 1, (3, 2, 3)), requires_grad=True)
+        fn = lambda x, k: (conv1d_causal(x, k, 4) ** 2).sum()
+        assert grad_check(fn, [x, k], eps=1e-5) < 1e-6
+
+
+class TestNoGrad:
+    def test_results_inside_record_nothing(self):
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        with engine.no_grad():
+            y = (w @ w).tanh() + w
+        assert not y.requires_grad
+        assert y._parents == () and y._backward is None
+        assert w.requires_grad
+        z = w @ w
+        assert z.requires_grad and z._parents == (w, w)
+
+    def test_values_match_recorded(self):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.uniform(-1, 1, (3, 10)), requires_grad=True)
+        k = Tensor(rng.uniform(-1, 1, (2, 3, 2)), requires_grad=True)
+        taped = conv1d_causal(x, k, 2).relu().data
+        with engine.no_grad():
+            free = conv1d_causal(x, k, 2).relu().data
+        npt.assert_array_equal(free, taped)
+
+    def test_restored_after_nesting(self):
+        w = Tensor(np.ones(2), requires_grad=True)
+        with engine.no_grad():
+            with engine.no_grad():
+                pass
+            assert not (w * 2.0).requires_grad
+        assert (w * 2.0).requires_grad
+
+    def test_restored_after_exception(self):
+        w = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(ShapeError):
+            with engine.no_grad():
+                w + Tensor(np.ones(3))
+        assert (w * 2.0).requires_grad
+
+    def test_scope_is_per_thread(self):
+        w = Tensor(np.ones(2), requires_grad=True)
+        entered, done = threading.Event(), threading.Event()
+        seen = {}
+
+        def hold_scope():
+            with engine.no_grad():
+                seen["inside"] = (w * 2.0).requires_grad
+                entered.set()
+                done.wait(timeout=10)
+
+        t = threading.Thread(target=hold_scope)
+        t.start()
+        try:
+            assert entered.wait(timeout=10)
+            seen["other"] = (w * 2.0).requires_grad
+        finally:
+            done.set()
+            t.join(timeout=10)
+        assert not t.is_alive()
+        assert seen == {"inside": False, "other": True}
 
 
 class TestConv3d:

@@ -1,7 +1,10 @@
+import contextlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from foleygen import engine, generation, training
 from foleygen.avio import AudioBuffer, VideoClip, load_wav
 from foleygen.errors import ContractError
 from foleygen.generation import (
@@ -11,7 +14,7 @@ from foleygen.generation import (
     write_waveform_csv,
 )
 from foleygen.models import build_model
-from conftest import tiny_config
+from conftest import make_dataset, tiny_config
 
 
 def make_video(frames=3, h=4, w=4, fps=5, seed=0):
@@ -106,6 +109,76 @@ class TestGenerate:
         model = build_model(cfg, seed=7)
         with pytest.raises(ContractError):
             generate(model, make_video(frames=2), total_frames=5)
+
+
+TAPE_FREE_CASES = {
+    "deep_fusion": (dict(), "mse"),
+    "wavenet": (dict(), "mse"),
+    "quantized_transformer": (dict(ctx_mode="raw_short", audio_ctx_len=8,
+                                   quantized=True), "xent_categorical"),
+}
+
+
+def _tape_free_model(case, seed=12):
+    overrides, _ = TAPE_FREE_CASES[case]
+    kind = "transformer" if case.endswith("transformer") else case
+    return build_model(tiny_config(kind, spf=3, **overrides), seed=seed)
+
+
+class TestTapeFree:
+    """generate/evaluate under no_grad against the same loops with a tape."""
+
+    @pytest.mark.parametrize("case", sorted(TAPE_FREE_CASES))
+    def test_generate_identical_with_and_without_tape(self, case,
+                                                      monkeypatch):
+        video = make_video(frames=4, seed=1)
+        free = generate(_tape_free_model(case), video).samples
+        monkeypatch.setattr(generation, "no_grad", contextlib.nullcontext)
+        taped = generate(_tape_free_model(case), video).samples
+        assert free.tobytes() == taped.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(TAPE_FREE_CASES))
+    def test_evaluate_identical_with_and_without_tape(self, case,
+                                                      monkeypatch):
+        ds = make_dataset(frames=8, spf=3)
+        kind = TAPE_FREE_CASES[case][1]
+        free = training.evaluate(_tape_free_model(case), ds, kind)
+        monkeypatch.setattr(training, "no_grad", contextlib.nullcontext)
+        taped = training.evaluate(_tape_free_model(case), ds, kind)
+        assert free.hex() == taped.hex()
+
+    @pytest.mark.parametrize("case", sorted(TAPE_FREE_CASES))
+    def test_no_tape_recorded_inside_generate(self, case, monkeypatch):
+        recorded = []
+        inner = engine.Tensor._result
+
+        def spy(data, parents, backward_fn):
+            out = inner(data, parents, backward_fn)
+            recorded.append(out.requires_grad)
+            return out
+
+        monkeypatch.setattr(engine.Tensor, "_result", staticmethod(spy))
+        generate(_tape_free_model(case), make_video(frames=2))
+        assert recorded and not any(recorded)
+
+    @pytest.mark.parametrize("case", sorted(TAPE_FREE_CASES))
+    def test_training_after_generate_fills_every_gradient(self, case):
+        ds = make_dataset(frames=8, spf=3)
+        kind = TAPE_FREE_CASES[case][1]
+        grads = []
+        for run_generate_first in (False, True):
+            model = _tape_free_model(case)
+            if run_generate_first:
+                generate(model, make_video(frames=2))
+            window = training._window_for(model, ds, 1, 0)
+            out = model.forward_window(window)
+            engine.backward(training.loss(kind, out, window.target.T))
+            grads.append({k: p.grad for k, p in model.params.items()})
+        fresh, after = grads
+        assert fresh.keys() == after.keys()
+        for name in fresh:
+            npt.assert_array_equal(after[name], fresh[name], err_msg=name)
+        assert any(np.any(g != 0) for g in after.values())
 
 
 class TestWriteWav:

@@ -19,6 +19,7 @@ from foleygen.models import (
     wavenet_forward,
     wavenet_receptive_field,
 )
+from foleygen.training import TrainConfig
 from conftest import fail_on_nth_write, tiny_config
 
 
@@ -29,6 +30,15 @@ class TestConfigJson:
         ('{"spff": 4}', ParameterError),
         ('{"audio_ctx_len": 0}', ParameterError),
         ('{"video_ctx_len": 0}', ParameterError),
+        ('{"spf": "3"}', ParameterError),
+        ('{"spf": true}', ParameterError),
+        ('{"spf": 3.0}', ParameterError),
+        ('{"kind": 1}', ParameterError),
+        ('{"quantized": 1}', ParameterError),
+        ('{"wn_dilations": 4}', ParameterError),
+        ('{"wn_dilations": [1, 2.0]}', ParameterError),
+        ('{"wn_dilations": [1, true]}', ParameterError),
+        ('{"strided_schedule": "22"}', ParameterError),
     ])
     def test_typed_errors(self, text, error):
         with pytest.raises(error):
@@ -37,6 +47,43 @@ class TestConfigJson:
     def test_json_overrides_defaults(self):
         cfg = ModelConfig.from_json('{"spf": 7}', spf=3, frame_h=5)
         assert (cfg.spf, cfg.frame_h) == (7, 5)
+
+    @pytest.mark.parametrize("text", [
+        '{"steps": "3"}',
+        '{"steps": false}',
+        '{"seed": 1.5}',
+        '{"learning_rate": "0.1"}',
+        '{"clip_norm": true}',
+        '{"loss_kind": 3}',
+    ])
+    def test_wrong_typed_train_value(self, text):
+        with pytest.raises(ParameterError, match="TrainConfig"):
+            TrainConfig.from_json(text)
+
+    def test_typed_values_accepted(self):
+        cfg = ModelConfig.from_json(
+            '{"spf": 3, "quantized": true, "wn_dilations": [1, 4]}')
+        assert (cfg.spf, cfg.quantized, cfg.wn_dilations) == (3, True, (1, 4))
+        tc = TrainConfig.from_json(
+            '{"learning_rate": 1, "clip_norm": null, "steps": 2}')
+        assert (tc.learning_rate, tc.clip_norm, tc.steps) == (1, None, 2)
+
+    def test_wrong_typed_value_in_checkpoint_is_format_error(self, tmp_path):
+        model = build_model(tiny_config("wavenet"), seed=0)
+        path = tmp_path / "m.bin"
+        save_checkpoint(model, path)
+        raw = path.read_bytes()
+        good = model.config.to_json().encode()
+        bad = good.replace(b'"spf": 4', b'"spf": "4"')
+        assert bad != good
+        head = raw[:8] + struct.pack("<I", len(bad)) + bad
+        path.write_bytes(head + raw[12 + len(good):])
+        with pytest.raises(FormatError, match="spf"):
+            load_checkpoint(path)
+
+    def test_missing_checkpoint_is_format_error(self, tmp_path):
+        with pytest.raises(FormatError, match="nope.bin"):
+            load_checkpoint(tmp_path / "nope.bin")
 
 
 class TestQuantize:

@@ -287,6 +287,10 @@ class TestCliPipeline:
         ("--config", '{"steps": 1, "stepz": 2}'),
         ("--model-config", '{"wn_channelz": 3}'),
         ("--model-config", '{"audio_ctx_len": 0}'),
+        ("--config", '{"steps": "3"}'),
+        ("--config", '{"learning_rate": true}'),
+        ("--model-config", '{"spf": "3"}'),
+        ("--model-config", '{"wn_rounds": "2"}'),
     ])
     def test_bad_config_file_exit_code(self, tmp_path, capsys, flag, text):
         manifest = make_fixture(tmp_path)
@@ -305,6 +309,43 @@ class TestCliPipeline:
         capsys.readouterr()
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("missing", [
+        "config", "model-config", "dataset",
+    ])
+    def test_train_missing_input_file_exit_code(self, tmp_path, capsys,
+                                                missing):
+        ds_path, _ = run_pipeline(tmp_path, steps=1)
+        paths = {"config": tmp_path / "train.json",
+                 "model-config": tmp_path / "model.json",
+                 "dataset": ds_path}
+        paths[missing] = tmp_path / "nope.bin"
+        argv = ["train", "--model", "wavenet",
+                "--out", str(tmp_path / "m2.bin")]
+        for name, path in paths.items():
+            argv += [f"--{name}", str(path)]
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nope.bin" in err
+
+    @pytest.mark.parametrize("command", ["generate", "eval"])
+    @pytest.mark.parametrize("missing", ["checkpoint", "dataset"])
+    def test_generate_eval_missing_input_file_exit_code(self, tmp_path,
+                                                        capsys, command,
+                                                        missing):
+        ds_path, ckpt = run_pipeline(tmp_path, steps=1)
+        paths = {"checkpoint": ckpt, "dataset": ds_path}
+        paths[missing] = tmp_path / "nope.bin"
+        argv = [command, "--checkpoint", str(paths["checkpoint"]),
+                "--dataset", str(paths["dataset"])]
+        if command == "generate":
+            argv += ["--out", str(tmp_path / "out.wav")]
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nope.bin" in err
+        assert not (tmp_path / "out.wav").exists()
 
     def test_selftest_passes(self):
         assert cli.main(["selftest"]) == 0
