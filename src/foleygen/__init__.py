@@ -22,7 +22,7 @@ from .avio import (
     sample_window,
     save_dataset,
 )
-from .engine import Tensor, backward, grad_check, set_precision
+from .engine import Tensor, backward, grad_check
 from .generation import frame_boundary_discontinuity, generate, write_wav
 from .models import (
     ModelConfig,
@@ -40,7 +40,7 @@ __all__ = [
     "AlignedAV", "AudioBuffer", "ContextWindow", "Dataset", "VideoClip",
     "align", "downsample_audio", "ingest", "load_clip", "load_dataset",
     "load_wav", "resize_frames", "sample_window", "save_dataset",
-    "Tensor", "backward", "grad_check", "set_precision",
+    "Tensor", "backward", "grad_check",
     "frame_boundary_discontinuity", "generate", "write_wav",
     "ModelConfig", "build_model", "dequantize", "load_checkpoint",
     "quantize", "save_checkpoint",

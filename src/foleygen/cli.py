@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import avio, engine, generation, models, report, training
+from . import avio, generation, models, report, training
 from .errors import ContractError, FoleygenError
 
 _LOSS_FLAG = {
@@ -102,9 +102,7 @@ def _model_config_for(args, ds: avio.Dataset) -> models.ModelConfig:
 
 def _load_for_dataset(args):
     """Load checkpoint and dataset; refuse a model built for other data."""
-    # precision first: load_checkpoint casts the parameters to it
-    engine.set_precision(args.precision)
-    model = models.load_checkpoint(args.checkpoint)
+    model = models.load_checkpoint(args.checkpoint, precision=args.precision)
     ds = avio.load_dataset(args.dataset)
     _check_geometry(model.config, f"checkpoint {args.checkpoint}", ds,
                     args.dataset)
@@ -119,8 +117,7 @@ def _cmd_train(args) -> int:
     if args.loss is not None:
         tc.loss_kind = _LOSS_FLAG[args.loss]
     mc = _model_config_for(args, ds)
-    engine.set_precision(args.precision)
-    model = models.build_model(mc, seed=tc.seed)
+    model = models.build_model(mc, seed=tc.seed, precision=args.precision)
     out = _out_path(args.out)
     csv_path = out.with_suffix(".loss.csv")
     rep = training.train(model, ds, tc, checkpoint_path=out,

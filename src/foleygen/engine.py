@@ -6,7 +6,8 @@ multi-head attention, the usual pointwise nonlinearities, and a built-in
 central-finite-difference gradient checker.
 
 Design constraints:
-  * single global precision (float64 default, float32 for training speed)
+  * no precision state: an op's result has its operands' dtype, and a
+    tensor made from numpy is float64 unless another dtype is asked for
   * no implicit broadcasting except bias addition inside ``linear``
   * bit-deterministic: same inputs, same outputs
   * recording is scoped per thread: inside ``with no_grad():`` an op's
@@ -25,24 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ParameterError, ShapeError
-
-_DTYPE = np.float64
-
-
-def set_precision(kind: str) -> None:
-    """Set the global scalar precision: 'float64' or 'float32'."""
-    global _DTYPE
-    if kind not in ("float64", "float32"):
-        raise ParameterError(f"unknown precision {kind!r}")
-    _DTYPE = np.float64 if kind == "float64" else np.float32
-
-
-def get_precision() -> str:
-    return "float64" if _DTYPE is np.float64 else "float32"
-
-
-def dtype() -> type:
-    return _DTYPE
 
 
 class _GradMode(threading.local):
@@ -77,8 +60,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=_DTYPE)
+    def __init__(self, data, requires_grad: bool = False, dtype=np.float64):
+        self.data = np.asarray(data, dtype=dtype)
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(self.data) if requires_grad else None
         self._parents: tuple = ()
@@ -103,7 +86,7 @@ class Tensor:
     @staticmethod
     def _result(data, parents, backward_fn):
         out = Tensor.__new__(Tensor)
-        out.data = np.asarray(data, dtype=_DTYPE)
+        out.data = np.asarray(data)
         out.requires_grad = (_grad_mode.enabled
                              and any(p.requires_grad for p in parents))
         out.grad = None
@@ -520,7 +503,7 @@ def conv1d_strided(x: Tensor, kernel: Tensor, stride: int) -> Tensor:
     if T < K:
         raise ShapeError(f"conv1d_strided: input length {T} < kernel {K}")
     To = (T - K) // stride + 1
-    y = np.zeros((ch_out, To), dtype=_DTYPE)
+    y = np.zeros((ch_out, To), dtype=x.data.dtype)
     for k in range(K):
         y += kernel.data[:, :, k] @ x.data[:, k: k + stride * To: stride]
     out = Tensor._result(y, (x, kernel), None)
@@ -717,7 +700,7 @@ def multi_head_attention(x: Tensor, params: AttentionParams,
     v = linear(x, params.wv, params.bv)
     mask = None
     if causal_mask:
-        mask = Tensor(np.triu(np.full((T, T), -1e30), k=1))
+        mask = Tensor(np.triu(np.full((T, T), -1e30), k=1), dtype=x.data.dtype)
     heads_out = []
     scale = 1.0 / math.sqrt(dh)
     for i in range(h):

@@ -30,14 +30,15 @@ def generate(model: Model, video: VideoClip, total_frames: int | None = None) ->
         raise ContractError(
             f"requested {frames} frames but clip has {video.frame_count}"
         )
-    spf, step = cfg.spf, model.step_samples
+    spf, step, dt = cfg.spf, model.step_samples, model.dtype
     out = np.zeros((frames * spf, 2), dtype=np.float64)
     with no_grad():
         for f in range(frames):
             frame_ctx = model.embed(left_context(video.frames, f + 1,
                                                  cfg.video_ctx_len))
             for pos in range(f * spf, (f + 1) * spf, step):
-                audio = Tensor(left_context(out, pos, cfg.audio_ctx_len).T)
+                audio = Tensor(left_context(out, pos, cfg.audio_ctx_len).T,
+                               dtype=dt)
                 y = model.forward_core(audio, frame_ctx).data
                 if model.quantized:
                     y = dequantize(np.argmax(y, axis=-1))

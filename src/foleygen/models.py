@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import engine
 from .avio import read_input, replacing_file
 from .crossmodal import (
     ProjectionParams,
@@ -48,6 +47,7 @@ from .errors import (
 )
 
 MODEL_KINDS = ("deep_fusion", "wavenet", "transformer")
+_PRECISIONS = {"float64": np.float64, "float32": np.float32}
 
 
 def _is_int(v) -> bool:
@@ -399,18 +399,41 @@ def transformer_forward(audio_ctx: Tensor, video_embed: Tensor,
 # -- model wrappers -----------------------------------------------------------
 
 
+def _tensors(tree):
+    """Every Tensor in a tree of parameter dataclasses, lists and tuples."""
+    if isinstance(tree, Tensor):
+        return [tree]
+    if dataclasses.is_dataclass(tree):
+        tree = vars(tree).values()
+    elif not isinstance(tree, (list, tuple)):
+        return []
+    return [t for item in tree for t in _tensors(item)]
+
+
 class Model:
     """One step for every caller: ``forward_core(audio_ctx, embed(video_ctx))``.
 
     ``embed`` turns an (n, 3, H, W) video window into the frame context,
     once per frame; deep fusion has no embedder and keeps the raw video.
+    ``p`` gets ``precision`` here, once; the model's graphs then have it.
     """
 
-    def __init__(self, config: ModelConfig, p, params: dict[str, Tensor]):
+    def __init__(self, config: ModelConfig, p, params: dict[str, Tensor],
+                 precision: str):
+        if precision not in _PRECISIONS:
+            raise ParameterError(f"unknown precision {precision!r}")
+        # all of p: the transformer's dec_w/dec_b are not in params
+        for t in _tensors(p):
+            t.data = t.data.astype(_PRECISIONS[precision], copy=False)
+            t.grad = np.zeros_like(t.data)
         self.config = config
         self.p = p
         self.params = params
         self.embedder = getattr(p, "embedder", None)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return next(iter(self.params.values())).data.dtype
 
     @property
     def mode(self) -> str:
@@ -430,7 +453,8 @@ class Model:
         return sum(t.data.size for t in self.params.values())
 
     def embed(self, video_ctx) -> Tensor:
-        video = Tensor(np.asarray(video_ctx).transpose(1, 0, 2, 3))
+        video = Tensor(np.asarray(video_ctx).transpose(1, 0, 2, 3),
+                       dtype=self.dtype)
         if self.embedder is None:
             return video
         return embed_video_context(video, self.embedder)
@@ -439,33 +463,22 @@ class Model:
         raise NotImplementedError
 
     def forward_window(self, window) -> Tensor:
-        audio = Tensor(np.asarray(window.audio_ctx).T)  # (A, 2) -> (2, A)
+        audio = Tensor(np.asarray(window.audio_ctx).T,  # (A, 2) -> (2, A)
+                       dtype=self.dtype)
         return self.forward_core(audio, self.embed(window.video_ctx))
 
 
 class DeepFusionModel(Model):
-    def __init__(self, config: ModelConfig, rng):
-        p = _build_deep_fusion(config, rng)
-        super().__init__(config, p, _collect_fusion(p))
-
     def forward_core(self, audio_ctx, frame_ctx):
         return deep_fusion_forward(audio_ctx, frame_ctx, self.p)
 
 
 class WavenetModel(Model):
-    def __init__(self, config: ModelConfig, rng):
-        p = _build_wavenet(config, rng)
-        super().__init__(config, p, _collect_wavenet(p))
-
     def forward_core(self, audio_ctx, frame_ctx):
         return wavenet_forward(audio_ctx, frame_ctx, self.p)
 
 
 class TransformerModel(Model):
-    def __init__(self, config: ModelConfig, rng):
-        p = _build_transformer(config, rng)
-        super().__init__(config, p, _collect_transformer(p))
-
     def forward_core(self, audio_ctx, frame_ctx):
         return transformer_forward(audio_ctx, frame_ctx, self.p,
                                    self.config.ctx_mode,
@@ -512,13 +525,18 @@ def _collect_transformer(p: TransformerParams) -> dict:
     return out
 
 
-def build_model(config: ModelConfig, seed: int = 0) -> Model:
-    rng = np.random.default_rng(seed)
-    if config.kind == "deep_fusion":
-        return DeepFusionModel(config, rng)
-    if config.kind == "wavenet":
-        return WavenetModel(config, rng)
-    return TransformerModel(config, rng)
+_ARCHITECTURES = {  # kind -> (model class, parameter builder, collector)
+    "deep_fusion": (DeepFusionModel, _build_deep_fusion, _collect_fusion),
+    "wavenet": (WavenetModel, _build_wavenet, _collect_wavenet),
+    "transformer": (TransformerModel, _build_transformer, _collect_transformer),
+}
+
+
+def build_model(config: ModelConfig, seed: int = 0,
+                precision: str = "float64") -> Model:
+    cls, build, collect = _ARCHITECTURES[config.kind]
+    p = build(config, np.random.default_rng(seed))
+    return cls(config, p, collect(p), precision)
 
 
 # -- checkpoints --------------------------------------------------------------
@@ -547,7 +565,8 @@ def save_checkpoint(model: Model, path) -> None:
             f.write(t.data.astype("<f4").tobytes())
 
 
-def load_checkpoint(path) -> Model:
+def load_checkpoint(path, precision: str = "float64") -> Model:
+    """Rebuild a saved model; its parameters get ``precision``."""
     raw = read_input(path)
     if len(raw) < 12 or raw[:4] != _CKPT_MAGIC:
         raise FormatError(f"{path}: not a checkpoint file")
@@ -573,7 +592,7 @@ def load_checkpoint(path) -> Model:
         config = ModelConfig.from_json(bytes(take(clen)))
     except (FormatError, ParameterError) as e:
         raise FormatError(f"{path}: unreadable model config: {e}") from None
-    model = build_model(config, seed=0)
+    model = build_model(config, seed=0, precision=precision)
     (n,) = unpack("<I")
     if n != len(model.params):
         raise FormatError(
@@ -592,8 +611,7 @@ def load_checkpoint(path) -> Model:
             raise FormatError(
                 f"{path}: tensor {name!r} shape {shape} != {t.data.shape}"
             )
-        t.data = data.reshape(t.data.shape).astype(engine.dtype())
-        t.grad = np.zeros_like(t.data)
+        t.data = data.reshape(t.data.shape).astype(t.data.dtype)
     if pos != len(raw):
         raise FormatError(f"{path}: {len(raw) - pos} bytes after the last tensor")
     return model

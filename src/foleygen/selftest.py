@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import engine
 from .avio import AudioBuffer, VideoClip, align, sample_window
 from .engine import (
     AttentionParams,
@@ -128,17 +127,12 @@ def _alignment_suite(rng, cases: int = 200) -> list:
 
 
 def run(verbose: bool = False) -> int:
-    prev = engine.get_precision()
-    engine.set_precision("float64")
-    try:
-        rng = np.random.default_rng(7)
-        suites = [
-            ("gradients", _gradient_suite(rng)),
-            ("causality", _causality_suite(rng)),
-            ("alignment", _alignment_suite(rng)),
-        ]
-    finally:
-        engine.set_precision(prev)
+    rng = np.random.default_rng(7)
+    suites = [
+        ("gradients", _gradient_suite(rng)),
+        ("causality", _causality_suite(rng)),
+        ("alignment", _alignment_suite(rng)),
+    ]
     failed = False
     for name, failures in suites:
         status = "ok" if not failures else "FAIL"

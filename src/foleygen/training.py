@@ -47,7 +47,8 @@ def loss(kind: str, output: Tensor, target: np.ndarray) -> Tensor:
         raise ShapeError(
             f"loss: output {output.shape} vs target {target.shape}"
         )
-    t = Tensor(target)
+    dt = output.data.dtype
+    t = Tensor(target, dtype=dt)
     if kind == "mse":
         return ((output - t) ** 2).mean()
     if kind == "mae":
@@ -55,13 +56,13 @@ def loss(kind: str, output: Tensor, target: np.ndarray) -> Tensor:
     if kind == "xent_bernoulli":
         p = (target + 1.0) / 2.0
         q = ((output + 1.0) * 0.5).clamp(_EPS, 1.0 - _EPS)
-        pt = Tensor(p)
-        one_minus_pt = Tensor(1.0 - p)
+        pt = Tensor(p, dtype=dt)
+        one_minus_pt = Tensor(1.0 - p, dtype=dt)
         term = pt * q.log() + one_minus_pt * (1.0 - q).log()
         return -term.mean()
     # xent_paper_literal: P is the raw output, Q is the shifted target
     q = np.clip((target + 1.0) / 2.0, _EPS, 1.0)
-    return -(output * Tensor(np.log(q))).mean()
+    return -(output * Tensor(np.log(q), dtype=dt)).mean()
 
 
 # -- optimizer ----------------------------------------------------------------
@@ -91,7 +92,8 @@ class Adam:
             total = np.sqrt(sum(float((p.grad ** 2).sum())
                                 for p in self.params.values()))
             if total > self.clip_norm:
-                scale = self.clip_norm / total
+                # a numpy float64 scale would promote float32 to float64
+                scale = float(self.clip_norm / total)
                 for p in self.params.values():
                     p.grad = p.grad * scale
         b1, b2 = self.beta1, self.beta2
@@ -126,6 +128,10 @@ class TrainConfig(JsonConfig):
             raise ParameterError("checkpoint_interval must be > 0")
         if self.loss_kind not in LOSS_KINDS:
             raise ParameterError(f"unknown loss kind {self.loss_kind!r}")
+        # NaN fails this test too; it would silently disable clipping
+        if self.clip_norm is not None and not 0 < self.clip_norm < np.inf:
+            raise ParameterError("TrainConfig.clip_norm must be a positive "
+                                 f"finite number or null, got {self.clip_norm}")
 
 
 @dataclass

@@ -1,18 +1,9 @@
 import builtins
 
 import numpy as np
-import pytest
 
-from foleygen import engine
 from foleygen.avio import AlignedAV, AudioBuffer, Dataset, VideoClip
 from foleygen.models import ModelConfig
-
-
-@pytest.fixture(autouse=True)
-def float64_precision():
-    engine.set_precision("float64")
-    yield
-    engine.set_precision("float64")
 
 
 def tiny_config(kind: str, **overrides) -> ModelConfig:

@@ -23,6 +23,9 @@ from foleygen.engine import (
     multi_head_attention,
 )
 from foleygen.errors import ContractError, ParameterError, ShapeError
+from foleygen.models import build_model
+
+from conftest import tiny_config
 
 
 def rand_attention_params(rng, d, heads):
@@ -318,8 +321,8 @@ class TestConv3dIm2col:
     def test_float32_stays_float32(self, budget, monkeypatch):
         if budget == "one_byte":
             monkeypatch.setattr(engine, "_COL_BUDGET_BYTES", 1)
-        # the GEMM results themselves, not only the tensors they are cast
-        # into, must be float32: a float64 accumulator would double the work
+        # the GEMM results themselves, not only the tensors that hold them,
+        # must be float32: a float64 accumulator would double the work
         valid = engine._conv3d_valid
         gemm_dtypes = []
 
@@ -329,10 +332,11 @@ class TestConv3dIm2col:
             return y
 
         monkeypatch.setattr(engine, "_conv3d_valid", spy)
-        engine.set_precision("float32")
         rng = np.random.default_rng(32)
-        x = Tensor(rng.uniform(-1, 1, (2, 4, 5, 6)), requires_grad=True)
-        k = Tensor(rng.uniform(-1, 1, (3, 2, 3, 3, 3)), requires_grad=True)
+        x = Tensor(rng.uniform(-1, 1, (2, 4, 5, 6)), requires_grad=True,
+                   dtype=np.float32)
+        k = Tensor(rng.uniform(-1, 1, (3, 2, 3, 3, 3)), requires_grad=True,
+                   dtype=np.float32)
         y = conv3d(x, k, (2, 1, 1), (1, 1, 1))
         backward((y * y).sum())
         assert y.data.dtype == np.float32
@@ -570,11 +574,9 @@ class TestDeterminism:
 
 class TestPrecision:
     def test_engine_setting(self):
-        engine.set_precision("float32")
-        assert Tensor([1.0]).data.dtype == np.float32
-        engine.set_precision("float64")
+        assert Tensor([1.0], dtype=np.float32).data.dtype == np.float32
         assert Tensor([1.0]).data.dtype == np.float64
 
     def test_unknown_precision(self):
-        with pytest.raises(ParameterError):
-            engine.set_precision("float16")
+        with pytest.raises(ParameterError, match="float16"):
+            build_model(tiny_config("wavenet"), precision="float16")

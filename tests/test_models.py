@@ -19,8 +19,9 @@ from foleygen.models import (
     wavenet_forward,
     wavenet_receptive_field,
 )
-from foleygen.training import TrainConfig
-from conftest import fail_on_nth_write, tiny_config
+from foleygen.generation import generate
+from foleygen.training import TrainConfig, evaluate, train
+from conftest import fail_on_nth_write, make_dataset, tiny_config
 
 
 class TestConfigJson:
@@ -55,6 +56,11 @@ class TestConfigJson:
         '{"learning_rate": "0.1"}',
         '{"clip_norm": true}',
         '{"loss_kind": 3}',
+        '{"clip_norm": 0}',
+        '{"clip_norm": -1.0}',
+        '{"clip_norm": NaN}',
+        '{"clip_norm": Infinity}',
+        '{"clip_norm": -Infinity}',
     ])
     def test_wrong_typed_train_value(self, text):
         with pytest.raises(ParameterError, match="TrainConfig"):
@@ -370,3 +376,56 @@ class TestCheckpoint:
         p.write_bytes(b"XXXXXXXXXXXXXXXX")
         with pytest.raises(FormatError):
             load_checkpoint(p)
+
+
+@pytest.fixture
+def result_dtypes(monkeypatch):
+    """The dtype of every op result, in order, from ``Tensor._result``."""
+    real = Tensor._result
+    seen = []
+
+    def spy(data, parents, backward_fn):
+        out = real(data, parents, backward_fn)
+        seen.append(out.data.dtype)
+        return out
+
+    monkeypatch.setattr(Tensor, "_result", staticmethod(spy))
+    return seen
+
+
+class TestModelPrecision:
+    @pytest.mark.parametrize("kind,overrides,loss_kind", [
+        ("deep_fusion", {}, "xent_bernoulli"),
+        ("wavenet", {}, "mse"),
+        ("transformer", {"ctx_mode": "strided_embed"}, "xent_paper_literal"),
+        ("transformer", {"ctx_mode": "raw_short"}, "mae"),
+        ("transformer", {"quantized": True}, "xent_categorical"),
+    ], ids=["deep_fusion", "wavenet", "strided_embed", "raw_short",
+            "quantized"])
+    def test_float32_graph_stays_float32(self, result_dtypes, kind,
+                                         overrides, loss_kind):
+        model = build_model(tiny_config(kind, **overrides), seed=6,
+                            precision="float32")
+        ds = make_dataset(frames=8, spf=4)
+        train(model, ds, TrainConfig(steps=1, loss_kind=loss_kind))
+        evaluate(model, ds, loss_kind, max_windows=2)
+        generate(model, ds.av.video, total_frames=2)
+        assert result_dtypes and set(result_dtypes) == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("kind", ["deep_fusion", "wavenet", "transformer"])
+    def test_precision_is_per_model(self, result_dtypes, kind):
+        cfg = tiny_config(kind)
+        video = make_dataset(frames=3, spf=4).av.video
+        alone = generate(build_model(cfg, seed=7), video).samples
+        m32 = build_model(cfg, seed=7, precision="float32")
+        m64 = build_model(cfg, seed=7)
+        runs = []
+        for m in (m32, m64, m32, m64):
+            result_dtypes.clear()
+            runs.append(generate(m, video).samples)
+            assert set(result_dtypes) == {m.dtype}
+        assert (m32.dtype, m64.dtype) == (np.float32, np.float64)
+        assert runs[1].tobytes() == alone.tobytes()
+        assert runs[3].tobytes() == alone.tobytes()
+        assert runs[2].tobytes() == runs[0].tobytes()
+        assert not np.array_equal(runs[0], runs[1])

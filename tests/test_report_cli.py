@@ -189,6 +189,7 @@ class TestCliPipeline:
     @pytest.mark.parametrize("command,target", [
         ("generate", (generation, "generate")),
         ("eval", (training, "evaluate")),
+        ("train", (training, "train")),
     ])
     def test_float32_precision_reaches_parameters(self, tmp_path, monkeypatch,
                                                   command, target):
@@ -199,14 +200,25 @@ class TestCliPipeline:
 
         def spy(model, *args, **kwargs):
             seen.extend(t.data.dtype for t in model.params.values())
-            return real(model, *args, **kwargs)
+            result = real(model, *args, **kwargs)
+            seen.extend(t.data.dtype for t in model.params.values())
+            return result
 
         monkeypatch.setattr(module, name, spy)
-        argv = [command, "--checkpoint", str(ckpt), "--dataset", str(ds_path),
-                "--precision", "float32"]
+        argv = [command, "--dataset", str(ds_path), "--precision", "float32"]
+        if command == "train":
+            # a bound this tight clips every step
+            (tmp_path / "train.json").write_text(json.dumps({
+                "steps": 3, "loss_kind": "mse", "clip_norm": 1e-6}))
+            argv += ["--config", str(tmp_path / "train.json"),
+                     "--model", "wavenet",
+                     "--model-config", str(tmp_path / "model.json"),
+                     "--out", str(tmp_path / "m32.bin")]
+        else:
+            argv += ["--checkpoint", str(ckpt)]
         if command == "generate":
             argv += ["--out", str(tmp_path / "out.wav"), "--frames", "1"]
-        else:
+        elif command == "eval":
             argv += ["--loss", "mse", "--max-windows", "2"]
         assert cli.main(argv) == 0
         assert seen and set(seen) == {np.dtype(np.float32)}
@@ -291,6 +303,10 @@ class TestCliPipeline:
         ("--config", '{"learning_rate": true}'),
         ("--model-config", '{"spf": "3"}'),
         ("--model-config", '{"wn_rounds": "2"}'),
+        ("--config", '{"steps": 1, "clip_norm": -1.0}'),
+        ("--config", '{"steps": 1, "clip_norm": 0}'),
+        ("--config", '{"steps": 1, "clip_norm": NaN}'),
+        ("--config", '{"steps": 1, "clip_norm": Infinity}'),
     ])
     def test_bad_config_file_exit_code(self, tmp_path, capsys, flag, text):
         manifest = make_fixture(tmp_path)

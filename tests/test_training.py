@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from foleygen import training
 from foleygen.engine import Tensor, grad_check
 from foleygen.errors import ContractError, ParameterError, TrainingDivergedError
 from foleygen.models import build_model, load_checkpoint, save_checkpoint
@@ -130,6 +131,26 @@ class TestTrainLoop:
         start = float(np.mean(rep.losses[:10]))
         end = float(np.mean(rep.losses[-10:]))
         assert end <= 0.1 * start
+
+    @pytest.mark.parametrize("kind", ["deep_fusion", "wavenet", "transformer"])
+    def test_clipped_float32_steps_stay_float32(self, monkeypatch, kind):
+        opts = []
+
+        class RecordingAdam(training.Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opts.append(self)
+
+        monkeypatch.setattr(training, "Adam", RecordingAdam)
+        ds = make_dataset(frames=8, spf=4)
+        model = build_model(tiny_config(kind), seed=5, precision="float32")
+        # a bound this tight clips every step
+        train(model, ds, self._config(steps=3, clip_norm=1e-6))
+        (opt,) = opts
+        for k, p in model.params.items():
+            dtypes = (p.data.dtype, p.grad.dtype, opt.m[k].dtype,
+                      opt.v[k].dtype)
+            assert dtypes == (np.float32,) * 4, k
 
     def test_divergence_aborts(self):
         ds = make_dataset(frames=8, spf=4)
