@@ -1,9 +1,10 @@
 """Minimal reverse-mode autodiff engine on numpy arrays.
 
 The engine provides exactly the operations the audio/video generator
-architectures need: dense layers, causal/strided/volumetric convolutions,
-multi-head attention, the usual pointwise nonlinearities, and a built-in
-central-finite-difference gradient checker.
+architectures need: dense layers, 2-D and stacked (h, m, k) @ (h, k, n)
+matmuls, causal/strided/volumetric convolutions, head-batched multi-head
+attention (optionally from the last n positions only), the usual pointwise
+nonlinearities, and a built-in central-finite-difference gradient checker.
 
 Design constraints:
   * no precision state: an op's result has its operands' dtype, and a
@@ -175,21 +176,21 @@ class Tensor:
         return out
 
     def __matmul__(self, other):
-        if self.data.ndim != 2 or other.data.ndim != 2:
+        """(m, k) @ (k, n), or a stack of them: (h, m, k) @ (h, k, n)."""
+        sa, sb = self.data.shape, other.data.shape
+        if len(sa) != len(sb) or len(sa) not in (2, 3):
             raise ShapeError(
-                f"matmul expects 2-D operands, got {self.shape} @ {other.shape}"
+                f"matmul expects two 2-D or two 3-D operands, got {sa} @ {sb}"
             )
-        if self.shape[1] != other.shape[0]:
-            raise ShapeError(
-                f"matmul inner dimensions disagree: {self.shape} @ {other.shape}"
-            )
+        if sa[-1] != sb[-2] or sa[:-2] != sb[:-2]:
+            raise ShapeError(f"matmul inner dimensions disagree: {sa} @ {sb}")
         out = Tensor._result(self.data @ other.data, (self, other), None)
         if out.requires_grad:
             def bw(g, a=self, b=other):
                 if a.requires_grad:
-                    a.grad += g @ b.data.T
+                    a.grad += g @ b.data.swapaxes(-1, -2)
                 if b.requires_grad:
-                    b.grad += a.data.T @ g
+                    b.grad += a.data.swapaxes(-1, -2) @ g
             out._backward = bw
         return out
 
@@ -491,6 +492,11 @@ def conv1d_strided(x: Tensor, kernel: Tensor, stride: int) -> Tensor:
     """Valid (unpadded) strided convolution used for audio token downsampling.
 
     x: (ch_in, T), kernel: (ch_out, ch_in, K) -> (ch_out, (T-K)//stride + 1)
+
+    One GEMM per direction over the (ch_in*K, To) column matrix whose row
+    (c, k) holds x[c, k + stride*t]: y = kernel.reshape(ch_out, -1) @ cols,
+    the kernel gradient is g @ cols.T, and the input gradient is
+    kernel.reshape(ch_out, -1).T @ g added back tap by tap.
     """
     if not isinstance(stride, int) or stride < 1:
         raise ParameterError(f"stride must be a positive int, got {stride}")
@@ -503,18 +509,18 @@ def conv1d_strided(x: Tensor, kernel: Tensor, stride: int) -> Tensor:
     if T < K:
         raise ShapeError(f"conv1d_strided: input length {T} < kernel {K}")
     To = (T - K) // stride + 1
-    y = np.zeros((ch_out, To), dtype=x.data.dtype)
-    for k in range(K):
-        y += kernel.data[:, :, k] @ x.data[:, k: k + stride * To: stride]
-    out = Tensor._result(y, (x, kernel), None)
+    win = np.lib.stride_tricks.sliding_window_view(x.data, K, axis=1)
+    cols = win[:, ::stride].transpose(0, 2, 1).reshape(ch_in * K, To)
+    w2 = kernel.data.reshape(ch_out, ch_in * K)
+    out = Tensor._result(w2 @ cols, (x, kernel), None)
     if out.requires_grad:
-        def bw(g, x=x, kernel=kernel, s=stride, K=K, To=To):
-            for k in range(K):
-                sl = slice(k, k + s * To, s)
-                if kernel.requires_grad:
-                    kernel.grad[:, :, k] += g @ x.data[:, sl].T
-                if x.requires_grad:
-                    x.grad[:, sl] += kernel.data[:, :, k].T @ g
+        def bw(g, x=x, kernel=kernel, cols=cols):
+            if kernel.requires_grad:
+                kernel.grad += (g @ cols.T).reshape(kernel.shape)
+            if x.requires_grad:
+                gc = (kernel.data.reshape(ch_out, -1).T @ g).reshape(ch_in, K, To)
+                for k in range(K):
+                    x.grad[:, k: k + stride * To: stride] += gc[:, k]
         out._backward = bw
     return out
 
@@ -686,43 +692,41 @@ class AttentionParams:
 
 
 def multi_head_attention(x: Tensor, params: AttentionParams,
-                         causal_mask: bool = False) -> Tensor:
-    """Scaled dot-product attention over (T, d_model) with optional causal mask."""
+                         causal_mask: bool = False,
+                         last_n: int | None = None) -> Tensor:
+    """Scaled dot-product attention over (T, d_model) with optional causal mask.
+
+    All heads at once: q, k and v are viewed as (heads, T, d_head) stacks,
+    so each product is one stacked matmul and the softmax runs once.
+
+    With ``last_n``, only the last ``last_n`` positions attend (to every
+    key up to their own position under the causal mask) and the result is
+    (last_n, d_model): the last rows of the full result. Keys and values
+    still come from all T positions.
+    """
     T, d_model = x.shape
     h = params.heads
     if d_model % h != 0:
         raise ParameterError(
             f"d_model {d_model} not divisible by head count {h}"
         )
+    n = T if last_n is None else last_n
+    if not 1 <= n <= T:
+        raise ParameterError(f"last_n must be in [1, {T}], got {last_n}")
     dh = d_model // h
-    q = linear(x, params.wq, params.bq)
-    k = linear(x, params.wk, params.bk)
-    v = linear(x, params.wv, params.bv)
-    mask = None
-    if causal_mask:
-        mask = Tensor(np.triu(np.full((T, T), -1e30), k=1), dtype=x.data.dtype)
-    heads_out = []
-    scale = 1.0 / math.sqrt(dh)
-    for i in range(h):
-        sl = slice(i * dh, (i + 1) * dh)
-        qi, ki, vi = q[:, sl], k[:, sl], v[:, sl]
-        scores = (qi @ ki.T) * scale
-        if mask is not None:
-            scores = scores + mask
-        att = scores.softmax_lastdim()
-        heads_out.append(att @ vi)
-    merged = concat(heads_out, axis=1)
+    xq = x if n == T else x[T - n:]
+    q = linear(xq, params.wq, params.bq).reshape(n, h, dh).transpose((1, 0, 2))
+    k = linear(x, params.wk, params.bk).reshape(T, h, dh).transpose((1, 2, 0))
+    v = linear(x, params.wv, params.bv).reshape(T, h, dh).transpose((1, 0, 2))
+    scores = (q @ k) * (1.0 / math.sqrt(dh))                # (h, n, T)
+    # query i sits at position T-n+i; with n == 1 nothing lies ahead of it
+    if causal_mask and n > 1:
+        mask = np.triu(np.full((n, T), -1e30, dtype=x.data.dtype), k=T - n + 1)
+        scores = scores + Tensor(np.broadcast_to(mask, scores.shape),
+                                 dtype=mask.dtype)
+    att = scores.softmax_lastdim()
+    merged = (att @ v).transpose((1, 0, 2)).reshape(n, d_model)
     return linear(merged, params.wo, params.bo)
-
-
-def activation(x: Tensor, kind: str) -> Tensor:
-    if kind == "tanh":
-        return x.tanh()
-    if kind == "relu":
-        return x.relu()
-    if kind == "softmax_lastdim":
-        return x.softmax_lastdim()
-    raise ParameterError(f"unknown activation kind {kind!r}")
 
 
 # -- verification -------------------------------------------------------------

@@ -145,6 +145,11 @@ class ModelConfig(JsonConfig):
                 "spf, audio_ctx_len and video_ctx_len must be >= 1")
         if self.ctx_mode not in ("strided_embed", "raw_short"):
             raise ParameterError(f"unknown ctx_mode {self.ctx_mode!r}")
+        if self.heads < 1 or self.d_model < 1:
+            raise ParameterError("heads and d_model must be >= 1")
+        if self.d_model % self.heads != 0:
+            raise ParameterError(
+                f"d_model {self.d_model} not divisible by heads {self.heads}")
         self.wn_dilations = tuple(self.wn_dilations)
         self.strided_schedule = tuple(self.strided_schedule)
 
@@ -383,14 +388,20 @@ def transformer_forward(audio_ctx: Tensor, video_embed: Tensor,
             f"{t_tok} tokens exceed positional table of {params.pos.shape[0]}"
         )
     tokens = tokens + params.pos[:t_tok]
-    for blk in params.blocks:
-        tokens = tokens + multi_head_attention(tokens, blk.attn,
-                                               causal_mask=True)
+    # Only the last token is emitted. The final block attends from it alone,
+    # so its residual, feed-forward and the decoder run on one row; earlier
+    # blocks still give every token's keys and values to the next.
+    final = len(params.blocks) - 1
+    for i, blk in enumerate(params.blocks):
+        n = 1 if i == final else None
+        att = multi_head_attention(tokens, blk.attn, causal_mask=True, last_n=n)
+        tokens = (tokens if n is None else tokens[t_tok - 1:]) + att
         ff = linear(linear(tokens, blk.ff_w1, blk.ff_b1).relu(),
                     blk.ff_w2, blk.ff_b2)
         tokens = tokens + ff
-    last = tokens[t_tok - 1: t_tok]                   # (1, d_model)
-    dec = linear(last, params.dec_w, params.dec_b)
+    if not params.blocks:
+        tokens = tokens[t_tok - 1:]
+    dec = linear(tokens, params.dec_w, params.dec_b)  # tokens: (1, d_model)
     if quantized:
         return dec.reshape(2, 256)
     return dec.reshape(2).tanh()

@@ -12,8 +12,8 @@ from foleygen import engine
 from foleygen.engine import (
     AttentionParams,
     Tensor,
-    activation,
     backward,
+    concat,
     conv1d_causal,
     conv1d_strided,
     conv1x1_channels,
@@ -201,6 +201,57 @@ class TestNoGrad:
             t.join(timeout=10)
         assert not t.is_alive()
         assert seen == {"inside": False, "other": True}
+
+
+def conv1d_strided_taps(x, k, g, stride):
+    """Reference valid strided convolution, one GEMM per tap.
+
+    Returns (y, grad x, grad kernel) for plain arrays; g is the output
+    gradient.
+    """
+    K, T = k.shape[2], x.shape[1]
+    To = (T - K) // stride + 1
+    y = np.zeros((k.shape[0], To))
+    gk = np.zeros_like(k)
+    gx = np.zeros_like(x)
+    for tap in range(K):
+        sl = slice(tap, tap + stride * To, stride)
+        y += k[:, :, tap] @ x[:, sl]
+        gk[:, :, tap] += g @ x[:, sl].T
+        gx[:, sl] += k[:, :, tap].T @ g
+    return y, gx, gk
+
+
+class TestConv1dStridedGemm:
+    """The one-GEMM conv1d_strided against the per-tap reference."""
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_matches_tap_reference(self, K, stride):
+        rng = np.random.default_rng(10 * K + stride)
+        # T = K gives one output; stride > K leaves inputs no tap reads
+        for T in (K, K + 1, 64):
+            To = (T - K) // stride + 1
+            x = rng.uniform(-1, 1, (3, T))
+            k = rng.uniform(-1, 1, (4, 3, K))
+            g = rng.uniform(-1, 1, (4, To))
+            xt = Tensor(x, requires_grad=True)
+            kt = Tensor(k, requires_grad=True)
+            y = conv1d_strided(xt, kt, stride)
+            backward((y * Tensor(g)).sum())
+            ref = conv1d_strided_taps(x, k, g, stride)
+            for name, r, a in zip(("y", "grad x", "grad kernel"), ref,
+                                  (y.data, xt.grad, kt.grad)):
+                npt.assert_allclose(a, r, rtol=0, atol=1e-12,
+                                    err_msg=f"{name} at T={T}")
+
+    def test_grad_check_overlapping_taps(self):
+        # K = 3 > stride = 2: neighbouring windows share an input column
+        rng = np.random.default_rng(65)
+        x = Tensor(rng.uniform(-1, 1, (2, 9)), requires_grad=True)
+        k = Tensor(rng.uniform(-1, 1, (3, 2, 3)), requires_grad=True)
+        fn = lambda x, k: (conv1d_strided(x, k, 2) ** 2).sum()
+        assert grad_check(fn, [x, k], eps=1e-5) < 1e-6
 
 
 class TestConv3d:
@@ -425,21 +476,137 @@ class TestAttention:
             assert not np.array_equal(y0[t:], y1[t:])
 
 
+class TestStackedMatmul:
+    def test_matches_per_slice_matmuls(self):
+        rng = np.random.default_rng(30)
+        for h, m, k, n in ((1, 1, 1, 1), (2, 3, 4, 5), (4, 1, 8, 88)):
+            a = rng.uniform(-1, 1, (h, m, k))
+            b = rng.uniform(-1, 1, (h, k, n))
+            g = rng.uniform(-1, 1, (h, m, n))
+            at = Tensor(a, requires_grad=True)
+            bt = Tensor(b, requires_grad=True)
+            y = at @ bt
+            backward((y * Tensor(g)).sum())
+            for i in range(h):
+                ai = Tensor(a[i], requires_grad=True)
+                bi = Tensor(b[i], requires_grad=True)
+                yi = ai @ bi
+                backward((yi * Tensor(g[i])).sum())
+                for r, got in ((yi.data, y.data[i]), (ai.grad, at.grad[i]),
+                               (bi.grad, bt.grad[i])):
+                    npt.assert_allclose(got, r, rtol=0, atol=1e-12)
+
+    def test_grad_check(self):
+        rng = np.random.default_rng(31)
+        a = Tensor(rng.uniform(-1, 1, (2, 3, 4)), requires_grad=True)
+        b = Tensor(rng.uniform(-1, 1, (2, 4, 5)), requires_grad=True)
+        assert grad_check(lambda a, b: ((a @ b) ** 2).sum(), [a, b]) < 1e-6
+
+    @pytest.mark.parametrize("sa,sb", [
+        ((2, 3, 4), (3, 4, 5)),         # stack sizes differ
+        ((2, 3, 4), (2, 5, 6)),         # inner dimensions differ
+        ((3, 4), (2, 4, 5)),            # ranks differ
+        ((2, 3, 4), (4, 5)),
+        ((4,), (4,)),                   # 1-D
+        ((1, 2, 3, 4), (1, 2, 4, 5)),   # 4-D
+    ])
+    def test_mismatched_shapes_raise(self, sa, sb):
+        with pytest.raises(ShapeError):
+            Tensor(np.ones(sa)) @ Tensor(np.ones(sb))
+
+
+def multi_head_attention_per_head(x, params, causal_mask=False):
+    """Reference attention: one slice, transpose, two matmuls and a softmax
+    per head, merged with ``concat``."""
+    T, d_model = x.shape
+    h = params.heads
+    dh = d_model // h
+    q = linear(x, params.wq, params.bq)
+    k = linear(x, params.wk, params.bk)
+    v = linear(x, params.wv, params.bv)
+    mask = None
+    if causal_mask:
+        mask = Tensor(np.triu(np.full((T, T), -1e30), k=1), dtype=x.data.dtype)
+    heads_out = []
+    scale = 1.0 / math.sqrt(dh)
+    for i in range(h):
+        sl = slice(i * dh, (i + 1) * dh)
+        qi, ki, vi = q[:, sl], k[:, sl], v[:, sl]
+        scores = (qi @ ki.T) * scale
+        if mask is not None:
+            scores = scores + mask
+        att = scores.softmax_lastdim()
+        heads_out.append(att @ vi)
+    merged = concat(heads_out, axis=1)
+    return linear(merged, params.wo, params.bo)
+
+
+def attention_and_grads(fn, x, p, g):
+    """fn's output for x and the gradients of sum(output * g): the input's,
+    then each parameter's."""
+    xt = Tensor(x, requires_grad=True)
+    y = fn(xt, p)
+    backward((y * Tensor(g)).sum())
+    return [y.data, xt.grad] + [t.grad.copy() for t in p.tensors().values()]
+
+
+class TestHeadBatchedAttention:
+    @pytest.mark.parametrize("causal", [False, True])
+    @pytest.mark.parametrize("heads", [1, 2, 3, 4])
+    def test_bit_identical_to_per_head_loop(self, heads, causal):
+        rng = np.random.default_rng(40 + heads)
+        d = 4 * heads
+        p = rand_attention_params(rng, d, heads)
+        for T in (1, 5, 88):
+            x = rng.uniform(-1, 1, (T, d))
+            g = rng.uniform(-1, 1, (T, d))
+            ref = attention_and_grads(
+                lambda x, p: multi_head_attention_per_head(x, p, causal),
+                x, p, g)
+            got = attention_and_grads(
+                lambda x, p: multi_head_attention(x, p, causal), x, p, g)
+            for r, a in zip(ref, got):
+                npt.assert_array_equal(a, r, err_msg=f"T={T}")
+
+    @pytest.mark.parametrize("causal", [False, True])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_last_n_queries_are_last_rows(self, heads, causal):
+        rng = np.random.default_rng(50 + heads)
+        d, T = 4 * heads, 9
+        p = rand_attention_params(rng, d, heads)
+        x = rng.uniform(-1, 1, (T, d))
+        for n in (1, 2, T):
+            # the full result's gradient with the first T-n rows unused
+            g = rng.uniform(-1, 1, (n, d))
+            g_full = np.zeros((T, d))
+            g_full[T - n:] = g
+            full = attention_and_grads(
+                lambda x, p: multi_head_attention(x, p, causal), x, p, g_full)
+            last = attention_and_grads(
+                lambda x, p: multi_head_attention(x, p, causal, last_n=n),
+                x, p, g)
+            assert last[0].shape == (n, d)
+            npt.assert_allclose(last[0], full[0][T - n:], rtol=0, atol=1e-12)
+            for r, a in zip(full[1:], last[1:]):
+                npt.assert_allclose(a, r, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [0, -1, 4])
+    def test_last_n_out_of_range(self, n):
+        p = rand_attention_params(np.random.default_rng(60), 4, 2)
+        with pytest.raises(ParameterError, match="last_n"):
+            multi_head_attention(Tensor(np.zeros((3, 4))), p, last_n=n)
+
+
 class TestActivation:
     def test_tanh_zero(self):
-        assert activation(Tensor([0.0]), "tanh").data[0] == 0.0
+        assert Tensor([0.0]).tanh().data[0] == 0.0
 
     def test_relu(self):
-        npt.assert_array_equal(
-            activation(Tensor([-1.0, 2.0]), "relu").data, [0.0, 2.0])
+        npt.assert_array_equal(Tensor([-1.0, 2.0]).relu().data, [0.0, 2.0])
 
     def test_softmax_symmetry(self):
-        y = activation(Tensor([3.3, 3.3, 3.3]), "softmax_lastdim").data
+        y = Tensor([3.3, 3.3, 3.3]).softmax_lastdim().data
         npt.assert_allclose(y, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ParameterError):
-            activation(Tensor([0.0]), "sigmoid")
 
     @given(st.lists(st.floats(-30, 30), min_size=1, max_size=8))
     @settings(max_examples=60, deadline=None)
@@ -504,7 +671,8 @@ class TestGradCheck:
 
     @pytest.mark.parametrize("name", [
         "tanh", "softmax", "conv1d_causal", "conv1d_strided", "conv3d",
-        "conv1x1", "attention", "attention_causal", "clamp", "abs",
+        "conv1x1", "attention", "attention_causal", "attention_last2",
+        "clamp", "abs",
         "logsumexp", "mean_axis", "expand", "scalar_scale",
     ])
     def test_every_op(self, name):
@@ -528,11 +696,13 @@ class TestGradCheck:
         elif name == "conv1x1":
             k = Tensor(rng.uniform(-2, 2, (3, 2)), requires_grad=True)
             fn, ins = lambda x, k: (conv1x1_channels(x, k) ** 2).sum(), [x, k]
-        elif name in ("attention", "attention_causal"):
+        elif name.startswith("attention"):
             p = rand_attention_params(rng, 4, 2)
             x = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
-            causal = name.endswith("causal")
-            fn = lambda x, *ts: (multi_head_attention(x, p, causal) ** 2).sum()
+            causal = name != "attention"
+            last_n = 2 if name.endswith("last2") else None
+            fn = lambda x, *ts: (multi_head_attention(
+                x, p, causal, last_n=last_n) ** 2).sum()
             # bk's true gradient is identically zero (softmax is invariant to
             # shifting every key), so finite differences only see noise there;
             # assert the exact zero separately and grad-check the rest

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -5,10 +6,19 @@ import numpy.testing as npt
 import pytest
 
 from foleygen import avio
-from foleygen.engine import Tensor, conv1d_causal, grad_check, linear
+from foleygen.engine import (
+    Tensor,
+    backward,
+    conv1d_causal,
+    conv1d_strided,
+    grad_check,
+    linear,
+    multi_head_attention,
+)
 from foleygen.errors import ContractError, FormatError, ParameterError, RangeError, ShapeError
 from foleygen.models import (
     ModelConfig,
+    _tensors,
     build_model,
     deep_fusion_forward,
     dequantize,
@@ -44,6 +54,31 @@ class TestConfigJson:
     def test_typed_errors(self, text, error):
         with pytest.raises(error):
             ModelConfig.from_json(text)
+
+    @pytest.mark.parametrize("fields", [
+        {"heads": 0}, {"heads": -2}, {"d_model": 0}, {"d_model": -4},
+        {"d_model": 6, "heads": 4},
+    ])
+    def test_attention_shape_refused(self, fields):
+        with pytest.raises(ParameterError, match="heads"):
+            ModelConfig(**fields)
+        with pytest.raises(ParameterError, match="heads"):
+            ModelConfig.from_json(json.dumps(fields))
+
+    @pytest.mark.parametrize("heads", [b"0", b"-2", b"3"])
+    def test_attention_shape_in_checkpoint_is_format_error(self, tmp_path,
+                                                           heads):
+        model = build_model(tiny_config("transformer"), seed=0)
+        path = tmp_path / "m.bin"
+        save_checkpoint(model, path)
+        raw = path.read_bytes()
+        good = model.config.to_json().encode()
+        bad = good.replace(b'"heads": 2', b'"heads": ' + heads)
+        assert bad != good
+        head = raw[:8] + struct.pack("<I", len(bad)) + bad
+        path.write_bytes(head + raw[12 + len(good):])
+        with pytest.raises(FormatError, match="heads"):
+            load_checkpoint(path)
 
     def test_json_overrides_defaults(self):
         cfg = ModelConfig.from_json('{"spf": 7}', spf=3, frame_h=5)
@@ -279,6 +314,64 @@ class TestTransformer:
         y = transformer_forward(Tensor(np.zeros((2, 16))),
                                 Tensor(np.zeros((2, 16))), m.p, "strided_embed")
         assert y.shape == (2,)
+
+
+def transformer_forward_full(audio_ctx, video_embed, params, ctx_mode,
+                             quantized=False):
+    """Reference transformer: every block runs over every token, and the
+    last token is read after the final block."""
+    x = audio_ctx + video_embed
+    if ctx_mode == "strided_embed":
+        h = x
+        for kernel in params.strided:
+            h = conv1d_strided(h, kernel, 2).relu()
+        tokens = h.T
+    else:
+        tokens = linear(x.T, params.lift_w, params.lift_b)
+    t_tok = tokens.shape[0]
+    tokens = tokens + params.pos[:t_tok]
+    for blk in params.blocks:
+        tokens = tokens + multi_head_attention(tokens, blk.attn,
+                                               causal_mask=True)
+        ff = linear(linear(tokens, blk.ff_w1, blk.ff_b1).relu(),
+                    blk.ff_w2, blk.ff_b2)
+        tokens = tokens + ff
+    dec = linear(tokens[t_tok - 1: t_tok], params.dec_w, params.dec_b)
+    if quantized:
+        return dec.reshape(2, 256)
+    return dec.reshape(2).tanh()
+
+
+class TestTransformerLastQuery:
+    """The final block computes only the emitted token: same function as
+    running every block over every token."""
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    @pytest.mark.parametrize("tf_blocks", [0, 1, 2, 3])
+    @pytest.mark.parametrize("ctx_mode", ["raw_short", "strided_embed"])
+    def test_matches_full_sequence(self, ctx_mode, tf_blocks, quantized):
+        cfg = tiny_config("transformer", ctx_mode=ctx_mode,
+                          tf_blocks=tf_blocks, quantized=quantized)
+        m = build_model(cfg, seed=70 + tf_blocks)
+        tensors = _tensors(m.p)    # the decoder head too
+        rng = np.random.default_rng(71)
+        audio = Tensor(rng.uniform(-1, 1, (2, cfg.audio_ctx_len)))
+        embed = Tensor(rng.uniform(-1, 1, (2, cfg.audio_ctx_len)))
+        g = Tensor(rng.uniform(-1, 1, (2, 256) if quantized else (2,)))
+        results = []
+        for fn in (transformer_forward_full, transformer_forward):
+            y = fn(audio, embed, m.p, ctx_mode, quantized=quantized)
+            backward((y * g).sum())
+            results.append([y.data] + [t.grad.copy() for t in tensors])
+        ref, got = (dict(zip(["output"] + tensors, r)) for r in results)
+        # softmax ignores a shift shared by all keys, so a key bias's true
+        # gradient is 0 and both sides hold rounding noise: measure it on
+        # the scale of the key weights' gradient
+        scale_of = {blk.attn.bk: blk.attn.wk for blk in m.p.blocks}
+        for i, t in enumerate(ref):
+            scale = np.abs(ref[scale_of.get(t, t)]).max()
+            err = np.abs(got[t] - ref[t]).max()
+            assert err <= 1e-12 * scale, f"tensor {i}: {err} vs {scale}"
 
 
 class TestParamCount:

@@ -326,6 +326,33 @@ class TestCliPipeline:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("fields", [
+        {"heads": 0}, {"heads": -2}, {"d_model": 0},
+    ])
+    def test_bad_attention_shape_exit_code(self, tmp_path, capsys, fields):
+        # refused with the config, before a forward pass divides by the
+        # head count or reshapes to a negative head width
+        manifest = make_fixture(tmp_path)
+        ds_path = tmp_path / "data.bin"
+        assert cli.main(["ingest", "--manifest", str(manifest),
+                         "--out", str(ds_path), "--rate", "20",
+                         "--height", "4", "--width", "4"]) == 0
+        (tmp_path / "train.json").write_text(json.dumps({"steps": 1}))
+        (tmp_path / "model.json").write_text(json.dumps({
+            "audio_ctx_len": 16, "video_ctx_len": 2, "embed_channels": 2,
+            "embed_blocks": 1, "d_model": 8, "heads": 2, "tf_blocks": 1,
+            "ff_hidden": 16, "pos_table_len": 32, **fields}))
+        ckpt = tmp_path / "m.bin"
+        capsys.readouterr()
+        assert cli.main(["train", "--dataset", str(ds_path),
+                         "--config", str(tmp_path / "train.json"),
+                         "--model", "transformer",
+                         "--model-config", str(tmp_path / "model.json"),
+                         "--out", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "heads" in err
+        assert not ckpt.exists()
+
     @pytest.mark.parametrize("missing", [
         "config", "model-config", "dataset",
     ])
