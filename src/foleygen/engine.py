@@ -492,11 +492,6 @@ def conv1d_strided(x: Tensor, kernel: Tensor, stride: int) -> Tensor:
     """Valid (unpadded) strided convolution used for audio token downsampling.
 
     x: (ch_in, T), kernel: (ch_out, ch_in, K) -> (ch_out, (T-K)//stride + 1)
-
-    One GEMM per direction over the (ch_in*K, To) column matrix whose row
-    (c, k) holds x[c, k + stride*t]: y = kernel.reshape(ch_out, -1) @ cols,
-    the kernel gradient is g @ cols.T, and the input gradient is
-    kernel.reshape(ch_out, -1).T @ g added back tap by tap.
     """
     if not isinstance(stride, int) or stride < 1:
         raise ParameterError(f"stride must be a positive int, got {stride}")
@@ -509,18 +504,18 @@ def conv1d_strided(x: Tensor, kernel: Tensor, stride: int) -> Tensor:
     if T < K:
         raise ShapeError(f"conv1d_strided: input length {T} < kernel {K}")
     To = (T - K) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(x.data, K, axis=1)
-    cols = win[:, ::stride].transpose(0, 2, 1).reshape(ch_in * K, To)
-    w2 = kernel.data.reshape(ch_out, ch_in * K)
-    out = Tensor._result(w2 @ cols, (x, kernel), None)
+    y = np.zeros((ch_out, To), dtype=x.data.dtype)
+    for k in range(K):
+        y += kernel.data[:, :, k] @ x.data[:, k: k + stride * To: stride]
+    out = Tensor._result(y, (x, kernel), None)
     if out.requires_grad:
-        def bw(g, x=x, kernel=kernel, cols=cols):
-            if kernel.requires_grad:
-                kernel.grad += (g @ cols.T).reshape(kernel.shape)
-            if x.requires_grad:
-                gc = (kernel.data.reshape(ch_out, -1).T @ g).reshape(ch_in, K, To)
-                for k in range(K):
-                    x.grad[:, k: k + stride * To: stride] += gc[:, k]
+        def bw(g, x=x, kernel=kernel, s=stride, K=K, To=To):
+            for k in range(K):
+                sl = slice(k, k + s * To, s)
+                if kernel.requires_grad:
+                    kernel.grad[:, :, k] += g @ x.data[:, sl].T
+                if x.requires_grad:
+                    x.grad[:, sl] += kernel.data[:, :, k].T @ g
         out._backward = bw
     return out
 

@@ -399,9 +399,8 @@ def transformer_forward(audio_ctx: Tensor, video_embed: Tensor,
         ff = linear(linear(tokens, blk.ff_w1, blk.ff_b1).relu(),
                     blk.ff_w2, blk.ff_b2)
         tokens = tokens + ff
-    if not params.blocks:
-        tokens = tokens[t_tok - 1:]
-    dec = linear(tokens, params.dec_w, params.dec_b)  # tokens: (1, d_model)
+    # after a final block this is already the one row (1, d_model)
+    dec = linear(tokens[tokens.shape[0] - 1:], params.dec_w, params.dec_b)
     if quantized:
         return dec.reshape(2, 256)
     return dec.reshape(2).tanh()

@@ -203,57 +203,6 @@ class TestNoGrad:
         assert seen == {"inside": False, "other": True}
 
 
-def conv1d_strided_taps(x, k, g, stride):
-    """Reference valid strided convolution, one GEMM per tap.
-
-    Returns (y, grad x, grad kernel) for plain arrays; g is the output
-    gradient.
-    """
-    K, T = k.shape[2], x.shape[1]
-    To = (T - K) // stride + 1
-    y = np.zeros((k.shape[0], To))
-    gk = np.zeros_like(k)
-    gx = np.zeros_like(x)
-    for tap in range(K):
-        sl = slice(tap, tap + stride * To, stride)
-        y += k[:, :, tap] @ x[:, sl]
-        gk[:, :, tap] += g @ x[:, sl].T
-        gx[:, sl] += k[:, :, tap].T @ g
-    return y, gx, gk
-
-
-class TestConv1dStridedGemm:
-    """The one-GEMM conv1d_strided against the per-tap reference."""
-
-    @pytest.mark.parametrize("stride", [1, 2, 3])
-    @pytest.mark.parametrize("K", [1, 2, 3])
-    def test_matches_tap_reference(self, K, stride):
-        rng = np.random.default_rng(10 * K + stride)
-        # T = K gives one output; stride > K leaves inputs no tap reads
-        for T in (K, K + 1, 64):
-            To = (T - K) // stride + 1
-            x = rng.uniform(-1, 1, (3, T))
-            k = rng.uniform(-1, 1, (4, 3, K))
-            g = rng.uniform(-1, 1, (4, To))
-            xt = Tensor(x, requires_grad=True)
-            kt = Tensor(k, requires_grad=True)
-            y = conv1d_strided(xt, kt, stride)
-            backward((y * Tensor(g)).sum())
-            ref = conv1d_strided_taps(x, k, g, stride)
-            for name, r, a in zip(("y", "grad x", "grad kernel"), ref,
-                                  (y.data, xt.grad, kt.grad)):
-                npt.assert_allclose(a, r, rtol=0, atol=1e-12,
-                                    err_msg=f"{name} at T={T}")
-
-    def test_grad_check_overlapping_taps(self):
-        # K = 3 > stride = 2: neighbouring windows share an input column
-        rng = np.random.default_rng(65)
-        x = Tensor(rng.uniform(-1, 1, (2, 9)), requires_grad=True)
-        k = Tensor(rng.uniform(-1, 1, (3, 2, 3)), requires_grad=True)
-        fn = lambda x, k: (conv1d_strided(x, k, 2) ** 2).sum()
-        assert grad_check(fn, [x, k], eps=1e-5) < 1e-6
-
-
 class TestConv3d:
     def test_sum_of_eight_ones(self):
         y = conv3d(Tensor(np.ones((1, 2, 2, 2))), Tensor(np.ones((1, 1, 2, 2, 2))))
