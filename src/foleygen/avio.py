@@ -127,7 +127,7 @@ def load_wav(path) -> AudioBuffer:
         (csize,) = struct.unpack_from("<I", raw, pos + 4)
         body = raw[pos + 8: pos + 8 + csize]
         if cid == b"fmt ":
-            if csize < 16:
+            if len(body) < 16:   # declared short, or cut off by end of file
                 raise FormatError(f"{path}: fmt chunk truncated")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif cid == b"data":
@@ -138,14 +138,15 @@ def load_wav(path) -> AudioBuffer:
     audio_format, channels, rate, _, _, bits = fmt
     if channels not in (1, 2):
         raise UnsupportedError(f"{path}: {channels} channels not supported")
-    if audio_format == 1 and bits == 16:
-        x = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
-    elif audio_format == 3 and bits == 32:
-        x = np.frombuffer(data, dtype="<f4").astype(np.float64)
-    else:
+    codecs = {(1, 16): ("<i2", 1 / 32768.0), (3, 32): ("<f4", 1.0)}
+    if (audio_format, bits) not in codecs:
         raise UnsupportedError(
             f"{path}: format tag {audio_format} / {bits}-bit not supported"
         )
+    dtype, scale = codecs[audio_format, bits]
+    if len(data) % (bits // 8) != 0:
+        raise FormatError(f"{path}: data chunk not a whole number of samples")
+    x = np.frombuffer(data, dtype=dtype).astype(np.float64) * scale
     if x.size % channels != 0:
         raise FormatError(f"{path}: data chunk not a whole number of frames")
     x = x.reshape(-1, channels)
@@ -170,10 +171,19 @@ def load_clip(manifest_path) -> VideoClip:
         meta = json.loads(mpath.read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise FormatError(f"{manifest_path}: unreadable manifest ({e})") from e
+    if not isinstance(meta, dict):
+        raise FormatError(f"{manifest_path}: manifest must be a JSON object")
     for field in ("frames_file", "width", "height", "frame_count", "frame_rate"):
         if field not in meta:
             raise FormatError(f"{manifest_path}: missing field {field!r}")
-    f, h, w = int(meta["frame_count"]), int(meta["height"]), int(meta["width"])
+    if not isinstance(meta["frames_file"], str):
+        raise FormatError(f"{manifest_path}: frames_file must be a string")
+    for field in ("width", "height", "frame_count", "frame_rate"):
+        v = meta[field]
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+            raise FormatError(f"{manifest_path}: {field} must be a "
+                              f"positive integer, got {v!r}")
+    f, h, w = meta["frame_count"], meta["height"], meta["width"]
     raw = read_input(mpath.parent / meta["frames_file"])
     expected = f * 3 * h * w
     if len(raw) != expected:
@@ -183,7 +193,7 @@ def load_clip(manifest_path) -> VideoClip:
         )
     arr = np.frombuffer(raw, dtype=np.uint8).reshape(f, h, w, 3)
     frames = arr.transpose(0, 3, 1, 2).astype(np.float64) / 255.0
-    return VideoClip(frames=frames, frame_rate=int(meta["frame_rate"]))
+    return VideoClip(frames=frames, frame_rate=meta["frame_rate"])
 
 
 # -- resampling --------------------------------------------------------------

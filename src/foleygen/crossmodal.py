@@ -38,12 +38,6 @@ class ResBlock3DParams:
             proj=proj,
         )
 
-    def tensors(self, prefix: str) -> dict:
-        out = {f"{prefix}.conv1": self.conv1, f"{prefix}.conv2": self.conv2}
-        if self.proj is not None:
-            out[f"{prefix}.proj"] = self.proj
-        return out
-
 
 @dataclass
 class ProjectionParams:
@@ -59,10 +53,6 @@ class ProjectionParams:
             b=Tensor(np.zeros(out_len), requires_grad=True),
             mix=_init(rng, c_out, c_in),
         )
-
-    def tensors(self, prefix: str) -> dict:
-        return {f"{prefix}.w": self.w, f"{prefix}.b": self.b,
-                f"{prefix}.mix": self.mix}
 
 
 @dataclass
@@ -81,13 +71,6 @@ class VideoEmbedderParams:
                     for _ in range(n_blocks)],
             proj=ProjectionParams.create(rng, h * w, n_aud, channels, c_aud),
         )
-
-    def tensors(self, prefix: str = "embed") -> dict:
-        out = {f"{prefix}.entry": self.entry}
-        for i, blk in enumerate(self.blocks):
-            out.update(blk.tensors(f"{prefix}.block{i}"))
-        out.update(self.proj.tensors(f"{prefix}.proj"))
-        return out
 
 
 def res_block_3d(x: Tensor, p: ResBlock3DParams) -> Tensor:

@@ -235,11 +235,11 @@ class Tensor:
         return out
 
     def transpose(self, axes=None):
-        out = Tensor._result(np.transpose(self.data, axes), (self,), None)
+        out = Tensor._result(self.data.transpose(axes), (self,), None)
         if out.requires_grad:
             inv = None if axes is None else np.argsort(axes)
             def bw(g, a=self, inv=inv):
-                a.grad += np.transpose(g, inv)
+                a.grad += g.transpose(inv)
             out._backward = bw
         return out
 
@@ -678,12 +678,6 @@ class AttentionParams:
     bv: Tensor
     bo: Tensor
     heads: int
-
-    def tensors(self):
-        return {
-            "wq": self.wq, "wk": self.wk, "wv": self.wv, "wo": self.wo,
-            "bq": self.bq, "bk": self.bk, "bv": self.bv, "bo": self.bo,
-        }
 
 
 def multi_head_attention(x: Tensor, params: AttentionParams,

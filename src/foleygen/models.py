@@ -355,7 +355,9 @@ def _build_transformer(cfg: ModelConfig, rng) -> TransformerParams:
         lift_b=Tensor(np.zeros(dm), requires_grad=True),
         pos=_init(rng, cfg.pos_table_len, dm, scale=0.1),
         blocks=blocks,
-        dec_w=_init(rng, dm, out_dim),
+        # zero, as Fixup starts the final layer: training grows the head
+        # from a constant output instead of a random one
+        dec_w=Tensor(np.zeros((dm, out_dim)), requires_grad=True),
         dec_b=Tensor(np.zeros(out_dim), requires_grad=True),
     )
 
@@ -409,15 +411,21 @@ def transformer_forward(audio_ctx: Tensor, video_embed: Tensor,
 # -- model wrappers -----------------------------------------------------------
 
 
-def _tensors(tree):
-    """Every Tensor in a tree of parameter dataclasses, lists and tuples."""
+def _named_tensors(tree, path: str = "") -> dict[str, Tensor]:
+    """Every Tensor in a tree of parameter dataclasses, lists and tuples,
+    named by its attribute path, e.g. ``embedder.blocks.0.conv1``."""
     if isinstance(tree, Tensor):
-        return [tree]
+        return {path: tree}
     if dataclasses.is_dataclass(tree):
-        tree = vars(tree).values()
-    elif not isinstance(tree, (list, tuple)):
-        return []
-    return [t for item in tree for t in _tensors(item)]
+        items = vars(tree).items()
+    elif isinstance(tree, (list, tuple)):
+        items = enumerate(tree)
+    else:
+        return {}
+    out = {}
+    for key, item in items:
+        out.update(_named_tensors(item, f"{path}.{key}" if path else str(key)))
+    return out
 
 
 class Model:
@@ -428,17 +436,15 @@ class Model:
     ``p`` gets ``precision`` here, once; the model's graphs then have it.
     """
 
-    def __init__(self, config: ModelConfig, p, params: dict[str, Tensor],
-                 precision: str):
+    def __init__(self, config: ModelConfig, p, precision: str):
         if precision not in _PRECISIONS:
             raise ParameterError(f"unknown precision {precision!r}")
-        # all of p: the transformer's dec_w/dec_b are not in params
-        for t in _tensors(p):
+        self.params = _named_tensors(p)
+        for t in self.params.values():
             t.data = t.data.astype(_PRECISIONS[precision], copy=False)
             t.grad = np.zeros_like(t.data)
         self.config = config
         self.p = p
-        self.params = params
         self.embedder = getattr(p, "embedder", None)
 
     @property
@@ -495,64 +501,23 @@ class TransformerModel(Model):
                                    quantized=self.quantized)
 
 
-def _collect_fusion(p: DeepFusionParams) -> dict:
-    out = {"entry": p.entry, "head.w": p.head_w, "head.b": p.head_b}
-    for i, blk in enumerate(p.blocks):
-        pre = f"block{i}"
-        out[f"{pre}.audio_kernel"] = blk.audio_kernel
-        out.update(blk.video_block.tensors(f"{pre}.video"))
-        out.update(blk.v2a.tensors(f"{pre}.v2a"))
-        out.update(blk.a2v.tensors(f"{pre}.a2v"))
-        out[f"{pre}.gate_av"] = blk.gate_av
-        out[f"{pre}.gate_va"] = blk.gate_va
-    return out
-
-
-def _collect_wavenet(p: WavenetParams) -> dict:
-    out = p.embedder.tensors("embed")
-    out["entry"] = p.entry
-    for i, (kernel, _) in enumerate(p.blocks):
-        out[f"block{i}.kernel"] = kernel
-    out["head.mix"] = p.head_mix
-    out["head.b"] = p.head_b
-    return out
-
-
-def _collect_transformer(p: TransformerParams) -> dict:
-    out = p.embedder.tensors("embed")
-    for i, k in enumerate(p.strided):
-        out[f"strided{i}"] = k
-    out["lift.w"] = p.lift_w
-    out["lift.b"] = p.lift_b
-    out["pos"] = p.pos
-    for i, blk in enumerate(p.blocks):
-        for name, t in blk.attn.tensors().items():
-            out[f"block{i}.attn.{name}"] = t
-        out[f"block{i}.ff.w1"] = blk.ff_w1
-        out[f"block{i}.ff.b1"] = blk.ff_b1
-        out[f"block{i}.ff.w2"] = blk.ff_w2
-        out[f"block{i}.ff.b2"] = blk.ff_b2
-    return out
-
-
-_ARCHITECTURES = {  # kind -> (model class, parameter builder, collector)
-    "deep_fusion": (DeepFusionModel, _build_deep_fusion, _collect_fusion),
-    "wavenet": (WavenetModel, _build_wavenet, _collect_wavenet),
-    "transformer": (TransformerModel, _build_transformer, _collect_transformer),
+_ARCHITECTURES = {  # kind -> (model class, parameter builder)
+    "deep_fusion": (DeepFusionModel, _build_deep_fusion),
+    "wavenet": (WavenetModel, _build_wavenet),
+    "transformer": (TransformerModel, _build_transformer),
 }
 
 
 def build_model(config: ModelConfig, seed: int = 0,
                 precision: str = "float64") -> Model:
-    cls, build, collect = _ARCHITECTURES[config.kind]
-    p = build(config, np.random.default_rng(seed))
-    return cls(config, p, collect(p), precision)
+    cls, build = _ARCHITECTURES[config.kind]
+    return cls(config, build(config, np.random.default_rng(seed)), precision)
 
 
 # -- checkpoints --------------------------------------------------------------
 
 _CKPT_MAGIC = b"FGCK"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2  # 2: tensors named by their path in the parameter tree
 
 
 def save_checkpoint(model: Model, path) -> None:

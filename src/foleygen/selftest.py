@@ -61,7 +61,7 @@ def _gradient_suite(rng) -> list:
     # bk is excluded: softmax is invariant to a uniform shift of the key
     # scores, so its true gradient is zero and the relative-error metric
     # would only compare finite-difference noise against itself
-    inputs = [t for name, t in ap.tensors().items() if name != "bk"]
+    inputs = [t for name, t in vars(ap).items() if name not in ("bk", "heads")]
     err = grad_check(
         lambda x, *ts: multi_head_attention(x, ap, causal_mask=True).sum(),
         [x, *inputs],

@@ -23,6 +23,18 @@ def tiny_config(kind: str, **overrides) -> ModelConfig:
     return ModelConfig(kind=kind, **base)
 
 
+def fill_head(model, seed: int) -> None:
+    """Draw the transformer's zero-initialised ``dec_w`` from a seeded rng.
+
+    A zero head makes the output constant and every gradient behind it
+    zero, so a test of what reaches the output needs a head that passes
+    it on. The scale is the one the other weights get.
+    """
+    w = model.p.dec_w.data
+    w[...] = (np.random.default_rng(seed).standard_normal(w.shape)
+              / np.sqrt(w.shape[1]))
+
+
 def make_dataset(frames=12, spf=4, h=4, w=4, fps=5, seed=0,
                  train_fraction=0.75, audio=None, video=None) -> Dataset:
     rng = np.random.default_rng(seed)

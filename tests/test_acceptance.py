@@ -44,7 +44,7 @@ from foleygen.models import (
     wavenet_receptive_field,
 )
 from foleygen.training import TrainConfig, loss, train
-from conftest import tiny_config
+from conftest import fill_head, tiny_config
 
 
 def _verdict(n, name, ok, detail=""):
@@ -97,7 +97,8 @@ def test_1_gradient_suite():
         *(t(d, lo=-1, hi=1) for _ in range(4)), heads=h)
     # bk excluded: its true gradient is identically zero (softmax shift
     # invariance), so the relative metric would measure only FD noise
-    att_inputs = [v for name, v in ap.tensors().items() if name != "bk"]
+    att_inputs = [v for name, v in vars(ap).items()
+                  if name not in ("bk", "heads")]
     check(lambda x, *ts: multi_head_attention(x, ap, causal_mask=True).sum(),
           [t(3, d, lo=-1, hi=1), *att_inputs])
     for kind in ("mse", "xent_bernoulli", "xent_paper_literal"):
@@ -112,6 +113,8 @@ def test_1_gradient_suite():
     for kind in ("deep_fusion", "wavenet", "transformer"):
         cfg = tiny_config(kind, audio_ctx_len=8, spf=2, video_ctx_len=1)
         m = build_model(cfg, seed=20)
+        if kind == "transformer":
+            fill_head(m, 20)
         audio = Tensor(rng.uniform(-0.8, 0.8, (2, 8)))
         video = Tensor(rng.uniform(0.1, 0.9, (3, 1, 4, 4)))
         if kind == "deep_fusion":

@@ -103,6 +103,26 @@ class TestLoadWav:
         with pytest.raises(FormatError):
             load_wav(p)
 
+    def test_fmt_chunk_cut_off_by_end_of_file(self, tmp_path):
+        p = tmp_path / "cut.wav"
+        # the fmt chunk declares 16 bytes, but the file ends after 6
+        p.write_bytes(struct.pack("<4sI4s4sIHHH", b"RIFF", 22, b"WAVE",
+                                  b"fmt ", 16, 1, 2, 100))
+        with pytest.raises(FormatError, match="fmt chunk truncated"):
+            load_wav(p)
+
+    @pytest.mark.parametrize("fmt_tag,bits", [(1, 16), (3, 32)])
+    def test_data_chunk_not_whole_samples(self, tmp_path, fmt_tag, bits):
+        p = tmp_path / "odd.wav"
+        data = b"\x00" * (bits // 8 + 1)
+        hdr = struct.pack(
+            "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(data), b"WAVE",
+            b"fmt ", 16, fmt_tag, 1, 100, 100 * bits // 8, bits // 8, bits,
+            b"data", len(data))
+        p.write_bytes(hdr + data + b"\x00")   # pad byte of an odd chunk
+        with pytest.raises(FormatError, match="whole number of samples"):
+            load_wav(p)
+
     def test_unsupported_codec(self, tmp_path):
         p = tmp_path / "ulaw.wav"
         hdr = struct.pack(
@@ -131,6 +151,26 @@ class TestLoadClip:
         meta["frame_count"] = 10
         m.write_text(json.dumps(meta))
         with pytest.raises(FormatError, match="expected"):
+            load_clip(m)
+
+
+    @pytest.mark.parametrize("field,value", [
+        ("width", "x"), ("width", 0), ("height", 0), ("frame_count", 0),
+        ("frame_rate", 0), ("height", -2), ("width", 2.5), ("width", True),
+        ("frames_file", 5), ("frames_file", None),
+    ])
+    def test_bad_field_is_format_error(self, tmp_path, field, value):
+        m = write_clip(tmp_path, np.zeros((1, 2, 2, 3)), 30)
+        meta = json.loads(m.read_text())
+        meta[field] = value
+        m.write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match=field):
+            load_clip(m)
+
+    def test_manifest_not_an_object(self, tmp_path):
+        m = tmp_path / "clip.json"
+        m.write_text("[1, 2]")
+        with pytest.raises(FormatError):
             load_clip(m)
 
 

@@ -13,6 +13,7 @@ from foleygen.crossmodal import (
 )
 from foleygen.engine import Tensor, backward, grad_check
 from foleygen.errors import ShapeError
+from foleygen.models import _named_tensors
 
 
 def zero_bias(p: ProjectionParams):
@@ -59,7 +60,7 @@ class TestResBlock:
         rng = np.random.default_rng(4)
         p = ResBlock3DParams.create(rng, 1, 2)
         x = Tensor(rng.uniform(0.1, 1, (1, 1, 2, 2)), requires_grad=True)
-        tensors = list(p.tensors("b").values())
+        tensors = list(_named_tensors(p).values())
         err = grad_check(
             lambda x, *ts: (res_block_3d(x, p) ** 2).sum(), [x, *tensors])
         assert err < 1e-4
@@ -172,7 +173,7 @@ class TestEmbedVideoContext:
     def test_parameter_gradients(self):
         rng = np.random.default_rng(16)
         p = self.make_params(rng)
-        tensors = list(p.tensors().values())
+        tensors = list(_named_tensors(p).values())
         x = Tensor(rng.uniform(0.1, 1, (3, 2, 2, 2)), requires_grad=True)
         err = grad_check(
             lambda x, *ts: (embed_video_context(x, p) ** 2).sum(),

@@ -14,7 +14,7 @@ from foleygen.generation import (
     write_waveform_csv,
 )
 from foleygen.models import build_model
-from conftest import make_dataset, tiny_config
+from conftest import fill_head, make_dataset, tiny_config
 
 
 def make_video(frames=3, h=4, w=4, fps=5, seed=0):
@@ -75,6 +75,7 @@ class TestGenerate:
         cfg = tiny_config("transformer", spf=3, ctx_mode="raw_short",
                           audio_ctx_len=8)
         model = build_model(cfg, seed=4)
+        fill_head(model, 4)
         audio = generate(model, make_video(frames=4))
         assert np.all(np.abs(audio.samples) <= 1.0)
 
@@ -82,6 +83,7 @@ class TestGenerate:
         cfg = tiny_config("transformer", spf=2, ctx_mode="raw_short",
                           audio_ctx_len=8, quantized=True)
         model = build_model(cfg, seed=5)
+        fill_head(model, 5)
         audio = generate(model, make_video(frames=3))
         bins = (audio.samples + 1.0) / 2.0 * 255.0
         npt.assert_allclose(bins, np.round(bins), atol=1e-9)
@@ -122,7 +124,10 @@ TAPE_FREE_CASES = {
 def _tape_free_model(case, seed=12):
     overrides, _ = TAPE_FREE_CASES[case]
     kind = "transformer" if case.endswith("transformer") else case
-    return build_model(tiny_config(kind, spf=3, **overrides), seed=seed)
+    model = build_model(tiny_config(kind, spf=3, **overrides), seed=seed)
+    if kind == "transformer":
+        fill_head(model, seed)
+    return model
 
 
 class TestTapeFree:

@@ -15,10 +15,16 @@ from foleygen.engine import (
     linear,
     multi_head_attention,
 )
-from foleygen.errors import ContractError, FormatError, ParameterError, RangeError, ShapeError
+from foleygen.errors import (
+    ContractError,
+    FormatError,
+    ParameterError,
+    RangeError,
+    ShapeError,
+    UnsupportedError,
+)
 from foleygen.models import (
     ModelConfig,
-    _tensors,
     build_model,
     deep_fusion_forward,
     dequantize,
@@ -31,7 +37,7 @@ from foleygen.models import (
 )
 from foleygen.generation import generate
 from foleygen.training import TrainConfig, evaluate, train
-from conftest import fail_on_nth_write, make_dataset, tiny_config
+from conftest import fail_on_nth_write, fill_head, make_dataset, tiny_config
 
 
 class TestConfigJson:
@@ -248,6 +254,7 @@ class TestTransformer:
     def test_continuous_output_in_range(self):
         cfg = tiny_config("transformer")
         m = build_model(cfg, seed=9)
+        fill_head(m, 9)
         rng = np.random.default_rng(10)
         for _ in range(10):
             y = transformer_forward(
@@ -261,6 +268,7 @@ class TestTransformer:
         cfg = tiny_config("transformer", quantized=True, ctx_mode="raw_short",
                           audio_ctx_len=8)
         m = build_model(cfg, seed=11)
+        fill_head(m, 11)
         rng = np.random.default_rng(12)
         logits = transformer_forward(
             Tensor(rng.uniform(-1, 1, (2, 8))),
@@ -273,6 +281,7 @@ class TestTransformer:
     def test_final_sample_matters(self):
         cfg = tiny_config("transformer", ctx_mode="raw_short", audio_ctx_len=4)
         m = build_model(cfg, seed=13)
+        fill_head(m, 13)
         rng = np.random.default_rng(14)
         a = rng.uniform(-1, 1, (2, 4))
         e = Tensor(rng.uniform(-1, 1, (2, 4)))
@@ -287,6 +296,7 @@ class TestTransformer:
         # is purely per-token, so earlier samples cannot reach the output
         cfg = tiny_config("transformer", ctx_mode="raw_short", audio_ctx_len=4)
         m = build_model(cfg, seed=15)
+        fill_head(m, 15)
         for blk in m.p.blocks:
             blk.attn.wo.data[:] = 0.0
             blk.attn.bo.data[:] = 0.0
@@ -353,7 +363,8 @@ class TestTransformerLastQuery:
         cfg = tiny_config("transformer", ctx_mode=ctx_mode,
                           tf_blocks=tf_blocks, quantized=quantized)
         m = build_model(cfg, seed=70 + tf_blocks)
-        tensors = _tensors(m.p)    # the decoder head too
+        fill_head(m, 70 + tf_blocks)
+        tensors = list(m.params.values())
         rng = np.random.default_rng(71)
         audio = Tensor(rng.uniform(-1, 1, (2, cfg.audio_ctx_len)))
         embed = Tensor(rng.uniform(-1, 1, (2, cfg.audio_ctx_len)))
@@ -396,11 +407,72 @@ class TestParamCount:
         assert build_model(tiny_config(kind), seed=0).param_count() < 5000
 
 
+def reachable_tensors(obj) -> list:
+    """Every Tensor reachable from obj through attributes, lists and tuples."""
+    found, stack = [], [obj]
+    while stack:
+        o = stack.pop()
+        if isinstance(o, Tensor):
+            found.append(o)
+        elif isinstance(o, (list, tuple)):
+            stack.extend(o)
+        elif hasattr(o, "__dict__"):
+            stack.extend(vars(o).values())
+    return found
+
+
+class TestParameterTree:
+    @pytest.mark.parametrize("kind,overrides", [
+        ("deep_fusion", {}), ("wavenet", {}), ("transformer", {}),
+        ("transformer", {"quantized": True}),
+    ], ids=["deep_fusion", "wavenet", "transformer", "quantized"])
+    def test_params_hold_every_tensor_of_the_tree(self, kind, overrides):
+        m = build_model(tiny_config(kind, **overrides), seed=0)
+        tree = reachable_tensors(m.p)
+        assert len({id(t) for t in tree}) == len(tree)
+        assert ({id(t) for t in m.params.values()}
+                == {id(t) for t in tree})
+        assert len(m.params) == len(tree)
+
+    @pytest.mark.parametrize("kind,names", [
+        ("deep_fusion", ["entry", "blocks.1.video_block.conv2",
+                         "blocks.0.v2a.mix", "blocks.0.gate_av", "head_w"]),
+        ("wavenet", ["embedder.entry", "embedder.blocks.0.conv1",
+                     "embedder.proj.w", "blocks.0.0", "blocks.1.0",
+                     "head_mix"]),
+        ("transformer", ["embedder.blocks.0.conv1", "strided.1", "pos",
+                         "blocks.0.attn.wq", "blocks.0.ff_b2", "dec_w",
+                         "dec_b"]),
+    ])
+    def test_names_are_attribute_paths(self, kind, names):
+        m = build_model(tiny_config(kind), seed=0)
+        assert set(names) <= set(m.params)
+        for name in names:
+            t = m.p
+            for key in name.split("."):
+                t = t[int(key)] if key.isdigit() else getattr(t, key)
+            assert m.params[name] is t
+
+    def test_transformer_head_starts_at_zero(self):
+        m = build_model(tiny_config("transformer"), seed=0)
+        assert not m.p.dec_w.data.any() and not m.p.dec_b.data.any()
+
+    def test_train_step_updates_transformer_head(self):
+        ds = make_dataset(frames=8, spf=4)
+        m = build_model(tiny_config("transformer"), seed=1)
+        head = {k: m.params[k].data.copy() for k in ("dec_w", "dec_b")}
+        train(m, ds, TrainConfig(steps=1, loss_kind="mse"))
+        for k, before in head.items():
+            assert not np.array_equal(m.params[k].data, before), k
+
+
 class TestFullModelGradients:
     @pytest.mark.parametrize("kind", ["deep_fusion", "wavenet", "transformer"])
     def test_grad_check(self, kind):
         cfg = tiny_config(kind, audio_ctx_len=8, spf=2, video_ctx_len=1)
         m = build_model(cfg, seed=20)
+        if kind == "transformer":
+            fill_head(m, 20)
         rng = np.random.default_rng(21)
         audio = Tensor(rng.uniform(-0.8, 0.8, (2, 8)))
         video = Tensor(rng.uniform(0.1, 0.9, (3, 1, 4, 4)))
@@ -420,16 +492,45 @@ class TestCheckpoint:
     @pytest.mark.parametrize("kind", ["deep_fusion", "wavenet", "transformer"])
     def test_round_trip_forward_equality(self, kind, tmp_path):
         cfg = tiny_config(kind)
-        m = build_model(cfg, seed=22)
+        # float32 parameters survive the float32 file exactly
+        m = build_model(cfg, seed=22, precision="float32")
+        if kind == "transformer":
+            fill_head(m, 22)    # a zero head would match a rebuilt one
         p = tmp_path / "ckpt.bin"
         save_checkpoint(m, p)
-        m2 = load_checkpoint(p)
+        m2 = load_checkpoint(p, precision="float32")
         assert m2.config == cfg
-        # float32 truncation applies to both sides after one save/load cycle
-        save_checkpoint(m2, p)
-        m3 = load_checkpoint(p)
-        for name, t in m2.params.items():
-            npt.assert_array_equal(t.data, m3.params[name].data)
+        assert m2.params.keys() == m.params.keys()
+        for name, t in m.params.items():
+            npt.assert_array_equal(m2.params[name].data, t.data)
+        rng = np.random.default_rng(23)
+        audio = Tensor(rng.uniform(-1, 1, (2, cfg.audio_ctx_len)),
+                       dtype=np.float32)
+        video = rng.uniform(0, 1, (cfg.video_ctx_len, 3, cfg.frame_h,
+                                   cfg.frame_w))
+        y, y2 = (mm.forward_core(audio, mm.embed(video)).data
+                 for mm in (m, m2))
+        npt.assert_array_equal(y, y2)
+
+    def test_trained_transformer_evaluates_the_same_after_reload(self,
+                                                                 tmp_path):
+        ds = make_dataset(frames=8, spf=4)
+        m = build_model(tiny_config("transformer"), seed=3)
+        train(m, ds, TrainConfig(steps=20, loss_kind="mse", seed=0))
+        p = tmp_path / "ckpt.bin"
+        save_checkpoint(m, p)
+        before = evaluate(m, ds, "mse")
+        after = evaluate(load_checkpoint(p), ds, "mse")
+        # the file holds float32: the two differ by its rounding alone
+        assert after == pytest.approx(before, rel=1e-5)
+
+    def test_version_1_refused(self, tmp_path):
+        p = tmp_path / "ckpt.bin"
+        save_checkpoint(build_model(tiny_config("wavenet"), seed=3), p)
+        raw = p.read_bytes()
+        p.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+        with pytest.raises(UnsupportedError, match="version 1"):
+            load_checkpoint(p)
 
     def test_truncated_file_rejected(self, tmp_path):
         m = build_model(tiny_config("wavenet"), seed=3)
@@ -509,9 +610,16 @@ class TestModelPrecision:
     def test_precision_is_per_model(self, result_dtypes, kind):
         cfg = tiny_config(kind)
         video = make_dataset(frames=3, spf=4).av.video
-        alone = generate(build_model(cfg, seed=7), video).samples
-        m32 = build_model(cfg, seed=7, precision="float32")
-        m64 = build_model(cfg, seed=7)
+
+        def built(**kwargs):
+            m = build_model(cfg, seed=7, **kwargs)
+            if kind == "transformer":
+                fill_head(m, 7)
+            return m
+
+        alone = generate(built(), video).samples
+        m32 = built(precision="float32")
+        m64 = built()
         runs = []
         for m in (m32, m64, m32, m64):
             result_dtypes.clear()

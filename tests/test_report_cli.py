@@ -390,5 +390,33 @@ class TestCliPipeline:
         assert err.startswith("error: ") and "nope.bin" in err
         assert not (tmp_path / "out.wav").exists()
 
+    @pytest.mark.parametrize("width", ["x", 0])
+    def test_ingest_bad_clip_manifest_exit_code(self, tmp_path, capsys,
+                                                width):
+        manifest = make_fixture(tmp_path)
+        clip = tmp_path / "clip.json"
+        meta = json.loads(clip.read_text())
+        meta["width"] = width
+        clip.write_text(json.dumps(meta))
+        out = tmp_path / "ds.bin"
+        capsys.readouterr()
+        assert cli.main(["ingest", "--manifest", str(manifest),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "width" in err
+        assert not out.exists()
+
+    def test_generate_refuses_version_1_checkpoint(self, tmp_path, capsys):
+        ds_path, ckpt = run_pipeline(tmp_path, steps=1)
+        raw = ckpt.read_bytes()
+        ckpt.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+        capsys.readouterr()
+        assert cli.main(["generate", "--checkpoint", str(ckpt),
+                         "--dataset", str(ds_path),
+                         "--out", str(tmp_path / "out.wav")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "version 1" in err
+        assert not (tmp_path / "out.wav").exists()
+
     def test_selftest_passes(self):
         assert cli.main(["selftest"]) == 0

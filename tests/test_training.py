@@ -155,7 +155,7 @@ class TestTrainLoop:
     def test_divergence_aborts(self):
         ds = make_dataset(frames=8, spf=4)
         model = build_model(tiny_config("wavenet"), seed=4)
-        model.params["head.b"].data[...] = np.nan
+        model.params["head_b"].data[...] = np.nan
         with pytest.raises(TrainingDivergedError):
             train(model, ds, self._config())
 
