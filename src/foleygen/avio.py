@@ -126,9 +126,13 @@ def load_wav(path) -> AudioBuffer:
         cid = raw[pos:pos + 4]
         (csize,) = struct.unpack_from("<I", raw, pos + 4)
         body = raw[pos + 8: pos + 8 + csize]
+        if len(body) < csize:
+            raise FormatError(
+                f"{path}: {cid.decode('latin-1').strip()} chunk truncated: "
+                f"declares {csize} bytes, file holds {len(body)}")
         if cid == b"fmt ":
-            if len(body) < 16:   # declared short, or cut off by end of file
-                raise FormatError(f"{path}: fmt chunk truncated")
+            if csize < 16:
+                raise FormatError(f"{path}: fmt chunk shorter than 16 bytes")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif cid == b"data":
             data = body
@@ -429,12 +433,23 @@ def ingest(paired_manifest_path, target_rate: int = 8820,
         meta = json.loads(mpath.read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise FormatError(f"{paired_manifest_path}: unreadable manifest ({e})") from e
+    if not isinstance(meta, dict):
+        raise FormatError(
+            f"{paired_manifest_path}: manifest must be a JSON object")
     for field in ("clip_manifest", "wav_path", "train_fraction"):
         if field not in meta:
             raise FormatError(f"{paired_manifest_path}: missing field {field!r}")
+    for field in ("clip_manifest", "wav_path"):
+        if not isinstance(meta[field], str):
+            raise FormatError(
+                f"{paired_manifest_path}: {field} must be a string")
+    frac = meta["train_fraction"]
+    if isinstance(frac, bool) or not isinstance(frac, (int, float)):
+        raise FormatError(f"{paired_manifest_path}: train_fraction must be "
+                          f"a number, got {frac!r}")
     audio = load_wav(mpath.parent / meta["wav_path"])
     video = load_clip(mpath.parent / meta["clip_manifest"])
     audio = downsample_audio(audio, target_rate)
     video = resize_frames(video, height, width)
     av = align(audio, video)
-    return Dataset(av=av, train_fraction=float(meta["train_fraction"]))
+    return Dataset(av=av, train_fraction=float(frac))

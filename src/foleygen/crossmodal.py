@@ -8,7 +8,7 @@ The reverse projection (audio -> video) mirrors it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,18 +24,15 @@ def _init(rng, *shape, scale=None):
 
 @dataclass
 class ResBlock3DParams:
-    """Two 3x3x3 conv kernels plus an optional 1x1 skip projection."""
-    conv1: Tensor  # (c_out, c_in, 3, 3, 3)
-    conv2: Tensor  # (c_out, c_out, 3, 3, 3)
-    proj: Tensor | None = None  # (c_out, c_in) when channel counts differ
+    """Two 3x3x3 conv kernels that keep the channel count."""
+    conv1: Tensor  # (c, c, 3, 3, 3)
+    conv2: Tensor  # (c, c, 3, 3, 3)
 
     @staticmethod
-    def create(rng, c_in: int, c_out: int) -> "ResBlock3DParams":
-        proj = None if c_in == c_out else _init(rng, c_out, c_in)
+    def create(rng, channels: int) -> "ResBlock3DParams":
         return ResBlock3DParams(
-            conv1=_init(rng, c_out, c_in, 3, 3, 3),
-            conv2=_init(rng, c_out, c_out, 3, 3, 3),
-            proj=proj,
+            conv1=_init(rng, channels, channels, 3, 3, 3),
+            conv2=_init(rng, channels, channels, 3, 3, 3),
         )
 
 
@@ -59,26 +56,24 @@ class ProjectionParams:
 class VideoEmbedderParams:
     """Entry channel lift, residual stack, and the video->audio projection."""
     entry: Tensor                      # (c_int, 3) channel lift
-    blocks: list = field(default_factory=list)
-    proj: ProjectionParams = None      # (H*W) -> n_aud, c_int -> 2
+    blocks: list                       # [ResBlock3DParams], c_int channels
+    proj: ProjectionParams             # (H*W) -> n_aud, c_int -> 2
 
     @staticmethod
-    def create(rng, h: int, w: int, n_aud: int, channels: int = 8,
-               n_blocks: int = 2, c_in: int = 3, c_aud: int = 2):
+    def create(rng, h: int, w: int, n_aud: int, channels: int, n_blocks: int):
         return VideoEmbedderParams(
-            entry=_init(rng, channels, c_in),
-            blocks=[ResBlock3DParams.create(rng, channels, channels)
+            entry=_init(rng, channels, 3),
+            blocks=[ResBlock3DParams.create(rng, channels)
                     for _ in range(n_blocks)],
-            proj=ProjectionParams.create(rng, h * w, n_aud, channels, c_aud),
+            proj=ProjectionParams.create(rng, h * w, n_aud, channels, 2),
         )
 
 
 def res_block_3d(x: Tensor, p: ResBlock3DParams) -> Tensor:
-    """y = relu(conv2(relu(conv1(x))) + skip(x)); both convs pad 1, stride 1."""
+    """y = relu(conv2(relu(conv1(x))) + x); both convs pad 1, stride 1."""
     h = conv3d(x, p.conv1, stride=(1, 1, 1), padding=(1, 1, 1)).relu()
     h = conv3d(h, p.conv2, stride=(1, 1, 1), padding=(1, 1, 1))
-    skip = x if p.proj is None else conv1x1_channels(x, p.proj)
-    return (h + skip).relu()
+    return (h + x).relu()
 
 
 def video_to_audio(v: Tensor, p: ProjectionParams) -> Tensor:

@@ -411,8 +411,8 @@ def backward(loss: Tensor) -> None:
 
 
 def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
-    """y = x W + b over the last axis of x; bias broadcasts over leading axes."""
-    if x.shape[-1] != W.shape[0]:
+    """y = x W + b for x (n, d_in), W (d_in, d_out), b (d_out,): one tape node."""
+    if x.data.ndim != 2 or x.shape[1] != W.shape[0]:
         raise ShapeError(
             f"linear: input shape {x.shape} does not match weight {W.shape}"
         )
@@ -420,23 +420,15 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"linear: bias shape {b.shape} does not match weight {W.shape}"
         )
-    lead = x.shape[:-1]
-    x2 = x.reshape(-1, x.shape[-1]) if x.data.ndim != 2 else x
-    y2 = x2 @ W
-    y2 = _add_bias(y2, b)
-    if x.data.ndim != 2:
-        y2 = y2.reshape(*lead, W.shape[1])
-    return y2
-
-
-def _add_bias(x: Tensor, b: Tensor) -> Tensor:
-    out = Tensor._result(x.data + b.data, (x, b), None)
+    out = Tensor._result(x.data @ W.data + b.data, (x, W, b), None)
     if out.requires_grad:
-        def bw(g, a=x, b=b):
-            if a.requires_grad:
-                a.grad += g
+        def bw(g, x=x, W=W, b=b):
+            if x.requires_grad:
+                x.grad += g @ W.data.T
+            if W.requires_grad:
+                W.grad += x.data.T @ g
             if b.requires_grad:
-                b.grad += g.sum(axis=tuple(range(g.ndim - 1)))
+                b.grad += g.sum(0)
         out._backward = bw
     return out
 

@@ -9,7 +9,6 @@ loop runs under ``engine.no_grad`` and records no tape.
 
 from __future__ import annotations
 
-import csv
 import struct
 
 import numpy as np
@@ -67,11 +66,11 @@ def write_wav(a: AudioBuffer, path) -> None:
 
 def write_waveform_csv(a: AudioBuffer, path) -> None:
     """Dump the raw waveform as CSV rows (index, left, right)."""
+    # the csv module's format: no field needs quoting, rows end in CRLF
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["index", "left", "right"])
-        for i, (l, r) in enumerate(a.samples):
-            w.writerow([i, repr(float(l)), repr(float(r))])
+        f.write("index,left,right\r\n")
+        f.write("".join(f"{i},{l!r},{r!r}\r\n"
+                        for i, (l, r) in enumerate(a.samples.tolist())))
 
 
 # -- diagnostics --------------------------------------------------------------

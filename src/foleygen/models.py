@@ -152,6 +152,14 @@ class ModelConfig(JsonConfig):
                 f"d_model {self.d_model} not divisible by heads {self.heads}")
         self.wn_dilations = tuple(self.wn_dilations)
         self.strided_schedule = tuple(self.strided_schedule)
+        # each strided layer has kernel size and stride 2; only the
+        # schedule's length sets the depth
+        if any(k != 2 for k in self.strided_schedule):
+            raise ParameterError(
+                f"strided_schedule entries must be 2, got {self.strided_schedule}")
+        if self.quantized and self.kind != "transformer":
+            raise ParameterError(
+                f"only the transformer has a quantized head, not {self.kind}")
 
 
 # -- amplitude quantization ---------------------------------------------------
@@ -203,7 +211,7 @@ def _build_deep_fusion(cfg: ModelConfig, rng) -> DeepFusionParams:
     for _ in range(cfg.fusion_blocks):
         blocks.append(FusionBlockParams(
             audio_kernel=_init(rng, 2, 2, cfg.fusion_kernel),
-            video_block=ResBlock3DParams.create(rng, cv, cv),
+            video_block=ResBlock3DParams.create(rng, cv),
             v2a=ProjectionParams.create(rng, hw, cfg.audio_ctx_len, cv, 2),
             a2v=ProjectionParams.create(rng, cfg.audio_ctx_len, hw, 2, cv),
             gate_av=Tensor(np.ones(()), requires_grad=True),
@@ -255,10 +263,15 @@ class WavenetParams:
 
 def _build_wavenet(cfg: ModelConfig, rng) -> WavenetParams:
     R, K = cfg.wn_channels, cfg.wn_kernel
+    # Each residual branch starts at 1/sqrt(layers) of the fan-in scale, so
+    # the stream h = h + relu(conv(h)) stays bounded over the whole stack
+    # and the tanh head does not saturate (Fixup, arXiv:1901.09321).
+    layers = max(cfg.wn_rounds * len(cfg.wn_dilations), 1)
+    scale = 1.0 / math.sqrt(R * K * layers)
     blocks = []
     for _ in range(cfg.wn_rounds):
         for d in cfg.wn_dilations:
-            blocks.append((_init(rng, R, R, K), d))
+            blocks.append((_init(rng, R, R, K, scale=scale), d))
     return WavenetParams(
         embedder=VideoEmbedderParams.create(
             rng, cfg.frame_h, cfg.frame_w, cfg.audio_ctx_len,
@@ -311,9 +324,9 @@ class TransformerBlockParams:
 @dataclass
 class TransformerParams:
     embedder: VideoEmbedderParams
-    strided: list                   # [(c_out, c_in, K)] stride-2 kernels
-    lift_w: Tensor                  # raw_short: per-sample (2, d_model) lift
-    lift_b: Tensor
+    strided: list                   # strided_embed: [(c_out, c_in, 2)] kernels
+    lift_w: Tensor | None           # raw_short: per-sample (2, d_model) lift
+    lift_b: Tensor | None
     pos: Tensor                     # (pos_table_len, d_model)
     blocks: list
     dec_w: Tensor                   # (d_model, 2) or (d_model, 512) quantized
@@ -322,9 +335,10 @@ class TransformerParams:
 
 def _build_transformer(cfg: ModelConfig, rng) -> TransformerParams:
     dm = cfg.d_model
+    raw = cfg.ctx_mode == "raw_short"
     strided = []
     c_in = 2
-    for _ in cfg.strided_schedule:
+    for _ in () if raw else cfg.strided_schedule:
         strided.append(_init(rng, dm, c_in, 2))
         c_in = dm
     blocks = []
@@ -351,8 +365,8 @@ def _build_transformer(cfg: ModelConfig, rng) -> TransformerParams:
             rng, cfg.frame_h, cfg.frame_w, cfg.audio_ctx_len,
             channels=cfg.embed_channels, n_blocks=cfg.embed_blocks),
         strided=strided,
-        lift_w=_init(rng, 2, dm),
-        lift_b=Tensor(np.zeros(dm), requires_grad=True),
+        lift_w=_init(rng, 2, dm) if raw else None,
+        lift_b=Tensor(np.zeros(dm), requires_grad=True) if raw else None,
         pos=_init(rng, cfg.pos_table_len, dm, scale=0.1),
         blocks=blocks,
         # zero, as Fixup starts the final layer: training grows the head
@@ -363,7 +377,7 @@ def _build_transformer(cfg: ModelConfig, rng) -> TransformerParams:
 
 
 def transformer_forward(audio_ctx: Tensor, video_embed: Tensor,
-                        params: TransformerParams, ctx_mode: str,
+                        params: TransformerParams,
                         quantized: bool = False) -> Tensor:
     """Causal attention over audio+video tokens; emits the next sample.
 
@@ -375,15 +389,13 @@ def transformer_forward(audio_ctx: Tensor, video_embed: Tensor,
             f"embedding {video_embed.shape} must match"
         )
     x = audio_ctx + video_embed                       # (2, A)
-    if ctx_mode == "strided_embed":
+    if params.lift_w is None:                         # strided_embed
         h = x
         for kernel in params.strided:
             h = conv1d_strided(h, kernel, 2).relu()
         tokens = h.T                                  # (T_tok, d_model)
-    elif ctx_mode == "raw_short":
+    else:                                             # raw_short
         tokens = linear(x.T, params.lift_w, params.lift_b)
-    else:
-        raise ParameterError(f"unknown ctx_mode {ctx_mode!r}")
     t_tok = tokens.shape[0]
     if t_tok > params.pos.shape[0]:
         raise ParameterError(
@@ -463,7 +475,7 @@ class Model:
     @property
     def quantized(self) -> bool:
         """True if ``forward_core`` emits 256-bin logits: quantized transformer."""
-        return self.config.kind == "transformer" and self.config.quantized
+        return self.config.quantized
 
     def param_count(self) -> int:
         return sum(t.data.size for t in self.params.values())
@@ -497,7 +509,6 @@ class WavenetModel(Model):
 class TransformerModel(Model):
     def forward_core(self, audio_ctx, frame_ctx):
         return transformer_forward(audio_ctx, frame_ctx, self.p,
-                                   self.config.ctx_mode,
                                    quantized=self.quantized)
 
 

@@ -63,10 +63,10 @@ def plot_waveform(csv_path, spf: int, out_svg, sample_rate: int = 8820) -> None:
             "y2": str(height - pad), "stroke": "orange",
             "stroke-width": "1", "class": "frame-marker",
         })
-    for ch, color in ((0, "steelblue"), (1, "seagreen")):
-        pts = " ".join(
-            f"{xpos(i):.2f},{ypos(wave[i, ch]):.2f}" for i in range(n)
-        )
+    # xpos and ypos over whole arrays: the same float ops, so the same text
+    xs = xpos(np.arange(n)).tolist()
+    for color, ys in zip(("steelblue", "seagreen"), ypos(wave.T).tolist()):
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
         ET.SubElement(svg, f"{{{_SVG}}}polyline", {
             "points": pts, "fill": "none", "stroke": color,
             "stroke-width": "0.8",

@@ -189,10 +189,10 @@ def train(model: Model, dataset: Dataset, cfg: TrainConfig,
             )
         opt.step()
         report.losses.append(step_loss)
-        if (step + 1) % cfg.checkpoint_interval == 0 or step + 1 == cfg.steps:
-            if checkpoint_path is not None:
-                save_checkpoint(model, checkpoint_path)
-    if checkpoint_path is not None:
+        if (checkpoint_path is not None and step + 1 < cfg.steps
+                and (step + 1) % cfg.checkpoint_interval == 0):
+            save_checkpoint(model, checkpoint_path)
+    if checkpoint_path is not None:     # the final state, once
         save_checkpoint(model, checkpoint_path)
     if loss_csv_path is not None:
         write_loss_csv(report, loss_csv_path)

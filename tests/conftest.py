@@ -3,7 +3,8 @@ import builtins
 import numpy as np
 
 from foleygen.avio import AlignedAV, AudioBuffer, Dataset, VideoClip
-from foleygen.models import ModelConfig
+from foleygen.engine import Tensor
+from foleygen.models import ModelConfig, build_model, save_checkpoint
 
 
 def tiny_config(kind: str, **overrides) -> ModelConfig:
@@ -33,6 +34,21 @@ def fill_head(model, seed: int) -> None:
     w = model.p.dec_w.data
     w[...] = (np.random.default_rng(seed).standard_normal(w.shape)
               / np.sqrt(w.shape[1]))
+
+
+def save_with_both_front_ends(config: ModelConfig, path) -> None:
+    """Save a transformer together with the token front-end its ctx_mode
+    does not read, as earlier versions built and saved both."""
+    model = build_model(config, seed=0)
+    dm = config.d_model
+    if config.ctx_mode == "strided_embed":
+        unread = {"lift_w": (2, dm), "lift_b": (dm,)}
+    else:
+        unread = {f"strided.{i}": (dm, 2 if i == 0 else dm, 2)
+                  for i in range(len(config.strided_schedule))}
+    for name, shape in unread.items():
+        model.params[name] = Tensor(np.zeros(shape))
+    save_checkpoint(model, path)
 
 
 def make_dataset(frames=12, spf=4, h=4, w=4, fps=5, seed=0,

@@ -111,6 +111,16 @@ class TestLoadWav:
         with pytest.raises(FormatError, match="fmt chunk truncated"):
             load_wav(p)
 
+    def test_data_chunk_cut_off_by_end_of_file(self, tmp_path):
+        p = tmp_path / "cut.wav"
+        # the data chunk declares 1,000 bytes, but the file ends after 16
+        hdr = struct.pack(
+            "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + 1000, b"WAVE",
+            b"fmt ", 16, 1, 2, 100, 400, 4, 16, b"data", 1000)
+        p.write_bytes(hdr + b"\x00" * 16)
+        with pytest.raises(FormatError, match="data chunk truncated"):
+            load_wav(p)
+
     @pytest.mark.parametrize("fmt_tag,bits", [(1, 16), (3, 32)])
     def test_data_chunk_not_whole_samples(self, tmp_path, fmt_tag, bits):
         p = tmp_path / "odd.wav"

@@ -24,7 +24,7 @@ def zero_bias(p: ProjectionParams):
 class TestResBlock:
     def test_zero_weights_identity_skip(self):
         rng = np.random.default_rng(0)
-        p = ResBlock3DParams.create(rng, 2, 2)
+        p = ResBlock3DParams.create(rng, 2)
         p.conv1.data[:] = 0.0
         p.conv2.data[:] = 0.0
         x = np.abs(rng.uniform(0, 1, (2, 2, 3, 3)))
@@ -33,14 +33,14 @@ class TestResBlock:
 
     def test_zero_input(self):
         rng = np.random.default_rng(1)
-        p = ResBlock3DParams.create(rng, 2, 2)
+        p = ResBlock3DParams.create(rng, 2)
         y = res_block_3d(Tensor(np.zeros((2, 2, 3, 3))), p)
         npt.assert_array_equal(y.data, np.zeros((2, 2, 3, 3)))
 
     def test_single_voxel_hand_composition(self):
         # with a 1x1x1 input the 3x3x3 kernels only touch their centers
         rng = np.random.default_rng(2)
-        p = ResBlock3DParams.create(rng, 1, 1)
+        p = ResBlock3DParams.create(rng, 1)
         p.conv1.data[:] = 0.0
         p.conv2.data[:] = 0.0
         p.conv1.data[0, 0, 1, 1, 1] = 2.0
@@ -52,14 +52,14 @@ class TestResBlock:
 
     def test_shape_preserved(self):
         rng = np.random.default_rng(3)
-        p = ResBlock3DParams.create(rng, 3, 3)
+        p = ResBlock3DParams.create(rng, 3)
         x = rng.uniform(-1, 1, (3, 2, 4, 5))
         assert res_block_3d(Tensor(x), p).shape == (3, 2, 4, 5)
 
     def test_gradients(self):
         rng = np.random.default_rng(4)
-        p = ResBlock3DParams.create(rng, 1, 2)
-        x = Tensor(rng.uniform(0.1, 1, (1, 1, 2, 2)), requires_grad=True)
+        p = ResBlock3DParams.create(rng, 2)
+        x = Tensor(rng.uniform(0.1, 1, (2, 1, 2, 2)), requires_grad=True)
         tensors = list(_named_tensors(p).values())
         err = grad_check(
             lambda x, *ts: (res_block_3d(x, p) ** 2).sum(), [x, *tensors])

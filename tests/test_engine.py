@@ -61,6 +61,18 @@ class TestLinear:
             linear(Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 2))),
                    Tensor(np.zeros(2)))
 
+    @pytest.mark.parametrize("shape", [(2,), (1, 2, 2)])
+    def test_input_must_be_2d(self, shape):
+        with pytest.raises(ShapeError):
+            linear(Tensor(np.zeros(shape)), Tensor(np.eye(2)),
+                   Tensor(np.zeros(2)))
+
+    def test_one_tape_node(self):
+        x, w, b = (Tensor(np.ones(s), requires_grad=True)
+                   for s in ((3, 2), (2, 4), (4,)))
+        y = linear(x, w, b)
+        assert y._parents == (x, w, b)
+
 
 class TestConv1dCausal:
     def test_hand_convolution_dilation1(self):

@@ -37,7 +37,13 @@ from foleygen.models import (
 )
 from foleygen.generation import generate
 from foleygen.training import TrainConfig, evaluate, train
-from conftest import fail_on_nth_write, fill_head, make_dataset, tiny_config
+from conftest import (
+    fail_on_nth_write,
+    fill_head,
+    make_dataset,
+    save_with_both_front_ends,
+    tiny_config,
+)
 
 
 class TestConfigJson:
@@ -85,6 +91,18 @@ class TestConfigJson:
         path.write_bytes(head + raw[12 + len(good):])
         with pytest.raises(FormatError, match="heads"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("fields", [
+        {"strided_schedule": [3, 2]}, {"strided_schedule": [2, 1]},
+        {"kind": "wavenet", "quantized": True},
+        {"kind": "deep_fusion", "quantized": True},
+    ], ids=["schedule-3", "schedule-1", "quantized-wavenet",
+            "quantized-deep_fusion"])
+    def test_value_that_would_be_ignored_refused(self, fields):
+        # the strided kernels are always size 2, stride 2; only the
+        # transformer has a 256-bin head
+        with pytest.raises(ParameterError):
+            ModelConfig.from_json(json.dumps(fields))
 
     def test_json_overrides_defaults(self):
         cfg = ModelConfig.from_json('{"spf": 7}', spf=3, frame_h=5)
@@ -260,7 +278,7 @@ class TestTransformer:
             y = transformer_forward(
                 Tensor(rng.uniform(-1, 1, (2, cfg.audio_ctx_len))),
                 Tensor(rng.uniform(-1, 1, (2, cfg.audio_ctx_len))),
-                m.p, cfg.ctx_mode)
+                m.p)
             assert y.shape == (2,)
             assert np.all(np.abs(y.data) <= 1.0)
 
@@ -272,8 +290,7 @@ class TestTransformer:
         rng = np.random.default_rng(12)
         logits = transformer_forward(
             Tensor(rng.uniform(-1, 1, (2, 8))),
-            Tensor(rng.uniform(-1, 1, (2, 8))), m.p, "raw_short",
-            quantized=True)
+            Tensor(rng.uniform(-1, 1, (2, 8))), m.p, quantized=True)
         assert logits.shape == (2, 256)
         probs = logits.softmax_lastdim().data
         npt.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
@@ -285,10 +302,10 @@ class TestTransformer:
         rng = np.random.default_rng(14)
         a = rng.uniform(-1, 1, (2, 4))
         e = Tensor(rng.uniform(-1, 1, (2, 4)))
-        y0 = transformer_forward(Tensor(a), e, m.p, "raw_short").data
+        y0 = transformer_forward(Tensor(a), e, m.p).data
         a2 = a.copy()
         a2[:, -1] = 0.0
-        y1 = transformer_forward(Tensor(a2), e, m.p, "raw_short").data
+        y1 = transformer_forward(Tensor(a2), e, m.p).data
         assert not np.array_equal(y0, y1)
 
     def test_early_samples_enter_only_through_attention(self):
@@ -303,10 +320,10 @@ class TestTransformer:
         rng = np.random.default_rng(16)
         a = rng.uniform(-1, 1, (2, 4))
         e = Tensor(rng.uniform(-1, 1, (2, 4)))
-        y0 = transformer_forward(Tensor(a), e, m.p, "raw_short").data
+        y0 = transformer_forward(Tensor(a), e, m.p).data
         a2 = a.copy()
         a2[:, 0] = 0.0
-        y1 = transformer_forward(Tensor(a2), e, m.p, "raw_short").data
+        y1 = transformer_forward(Tensor(a2), e, m.p).data
         npt.assert_array_equal(y0, y1)
 
     def test_positional_table_overflow(self):
@@ -315,23 +332,22 @@ class TestTransformer:
         m = build_model(cfg, seed=17)
         with pytest.raises(ParameterError):
             transformer_forward(Tensor(np.zeros((2, 64))),
-                                Tensor(np.zeros((2, 64))), m.p, "raw_short")
+                                Tensor(np.zeros((2, 64))), m.p)
 
     def test_strided_token_count(self):
         cfg = tiny_config("transformer", audio_ctx_len=16)
         m = build_model(cfg, seed=18)
         # schedule (2, 2) with K=2: 16 -> 8 -> 4 tokens; just check it runs
         y = transformer_forward(Tensor(np.zeros((2, 16))),
-                                Tensor(np.zeros((2, 16))), m.p, "strided_embed")
+                                Tensor(np.zeros((2, 16))), m.p)
         assert y.shape == (2,)
 
 
-def transformer_forward_full(audio_ctx, video_embed, params, ctx_mode,
-                             quantized=False):
+def transformer_forward_full(audio_ctx, video_embed, params, quantized=False):
     """Reference transformer: every block runs over every token, and the
     last token is read after the final block."""
     x = audio_ctx + video_embed
-    if ctx_mode == "strided_embed":
+    if params.lift_w is None:
         h = x
         for kernel in params.strided:
             h = conv1d_strided(h, kernel, 2).relu()
@@ -371,7 +387,7 @@ class TestTransformerLastQuery:
         g = Tensor(rng.uniform(-1, 1, (2, 256) if quantized else (2,)))
         results = []
         for fn in (transformer_forward_full, transformer_forward):
-            y = fn(audio, embed, m.p, ctx_mode, quantized=quantized)
+            y = fn(audio, embed, m.p, quantized=quantized)
             backward((y * g).sum())
             results.append([y.data] + [t.grad.copy() for t in tensors])
         ref, got = (dict(zip(["output"] + tensors, r)) for r in results)
@@ -466,6 +482,39 @@ class TestParameterTree:
             assert not np.array_equal(m.params[k].data, before), k
 
 
+def ancestors(out: Tensor) -> set:
+    """ids of every tensor that ``out`` was computed from, itself included."""
+    seen, stack = set(), [out]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(t._parents)
+    return seen
+
+
+class TestEveryParameterReachesTheOutput:
+    @pytest.mark.parametrize("kind,overrides", [
+        pytest.param("deep_fusion", {}, marks=pytest.mark.xfail(
+            strict=True, reason="the last fusion block's a2v and gate_va "
+            "inject audio into a video stream that nothing reads after it")),
+        ("wavenet", {}),
+        ("transformer", {"ctx_mode": "strided_embed"}),
+        ("transformer", {"ctx_mode": "raw_short"}),
+        ("transformer", {"quantized": True}),
+    ], ids=["deep_fusion", "wavenet", "strided_embed", "raw_short",
+            "quantized"])
+    def test_forward_core_reads_every_param(self, kind, overrides):
+        cfg = tiny_config(kind, **overrides)
+        m = build_model(cfg, seed=0)
+        rng = np.random.default_rng(1)
+        audio = Tensor(rng.uniform(-1, 1, (2, cfg.audio_ctx_len)))
+        video = rng.uniform(0, 1, (cfg.video_ctx_len, 3, cfg.frame_h,
+                                   cfg.frame_w))
+        reached = ancestors(m.forward_core(audio, m.embed(video)))
+        assert [n for n, t in m.params.items() if id(t) not in reached] == []
+
+
 class TestFullModelGradients:
     @pytest.mark.parametrize("kind", ["deep_fusion", "wavenet", "transformer"])
     def test_grad_check(self, kind):
@@ -530,6 +579,14 @@ class TestCheckpoint:
         raw = p.read_bytes()
         p.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
         with pytest.raises(UnsupportedError, match="version 1"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("ctx_mode", ["strided_embed", "raw_short"])
+    def test_file_with_unread_front_end_refused(self, tmp_path, ctx_mode):
+        p = tmp_path / "ckpt.bin"
+        save_with_both_front_ends(
+            tiny_config("transformer", ctx_mode=ctx_mode), p)
+        with pytest.raises(FormatError, match="tensors in file"):
             load_checkpoint(p)
 
     def test_truncated_file_rejected(self, tmp_path):

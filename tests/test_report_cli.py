@@ -10,6 +10,7 @@ from foleygen.avio import AudioBuffer, load_dataset, load_wav
 from foleygen.errors import FormatError
 from foleygen.generation import write_wav, write_waveform_csv
 from foleygen.report import format_loss, loss_table, plot_waveform
+from conftest import save_with_both_front_ends, tiny_config
 
 
 class TestFormatLoss:
@@ -80,6 +81,22 @@ class TestPlotWaveform:
         assert len(markers) == 3  # 12 samples / spf 4
         polylines = [e for e in root.iter() if e.tag.endswith("polyline")]
         assert len(polylines) == 2
+
+    @pytest.mark.parametrize("n", [1, 12, 589])
+    def test_points_match_per_sample_formatting(self, tmp_path, n):
+        csv_path = self._csv(tmp_path, n=n)
+        out = tmp_path / "wave.svg"
+        plot_waveform(csv_path, 4, out)
+        wave = np.loadtxt(csv_path, delimiter=",", skiprows=1,
+                          ndmin=2)[:, 1:]
+        polylines = [e for e in ET.parse(out).getroot().iter()
+                     if e.tag.endswith("polyline")]
+        for ch, line in enumerate(polylines):
+            # reference: each point computed and formatted on its own
+            expected = " ".join(
+                f"{40.0 + 820.0 * (i / max(n - 1, 1)):.2f},"
+                f"{150.0 - wave[i, ch] * 110.0:.2f}" for i in range(n))
+            assert line.get("points") == expected
 
     def test_empty_csv_rejected(self, tmp_path):
         p = tmp_path / "empty.csv"
@@ -372,6 +389,19 @@ class TestCliPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "nope.bin" in err
 
+    def test_train_refuses_quantized_wavenet(self, tmp_path, capsys):
+        ds_path, _ = run_pipeline(tmp_path, steps=1)
+        out = tmp_path / "q.bin"
+        capsys.readouterr()
+        assert cli.main(["train", "--dataset", str(ds_path),
+                         "--config", str(tmp_path / "train.json"),
+                         "--model", "wavenet", "--quantized",
+                         "--model-config", str(tmp_path / "model.json"),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "quantized" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["generate", "eval"])
     @pytest.mark.parametrize("missing", ["checkpoint", "dataset"])
     def test_generate_eval_missing_input_file_exit_code(self, tmp_path,
@@ -406,6 +436,24 @@ class TestCliPipeline:
         assert err.startswith("error: ") and "width" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit,named", [
+        (lambda meta: 5, "object"),
+        (lambda meta: {**meta, "wav_path": 5}, "wav_path"),
+        (lambda meta: {**meta, "train_fraction": "abc"}, "train_fraction"),
+    ], ids=["not-an-object", "wav_path-int", "train_fraction-str"])
+    def test_ingest_bad_paired_manifest_exit_code(self, tmp_path, capsys,
+                                                  edit, named):
+        manifest = make_fixture(tmp_path)
+        manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+        out = tmp_path / "ds.bin"
+        capsys.readouterr()
+        assert cli.main(["ingest", "--manifest", str(manifest),
+                         "--out", str(out), "--rate", "20",
+                         "--height", "4", "--width", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not out.exists()
+
     def test_generate_refuses_version_1_checkpoint(self, tmp_path, capsys):
         ds_path, ckpt = run_pipeline(tmp_path, steps=1)
         raw = ckpt.read_bytes()
@@ -416,6 +464,20 @@ class TestCliPipeline:
                          "--out", str(tmp_path / "out.wav")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "version 1" in err
+        assert not (tmp_path / "out.wav").exists()
+
+    def test_generate_refuses_checkpoint_with_unread_front_end(self, tmp_path,
+                                                               capsys):
+        ds_path, _ = run_pipeline(tmp_path, steps=1)
+        ckpt = tmp_path / "old.bin"
+        save_with_both_front_ends(
+            tiny_config("transformer", ctx_mode="raw_short"), ckpt)
+        capsys.readouterr()
+        assert cli.main(["generate", "--checkpoint", str(ckpt),
+                         "--dataset", str(ds_path),
+                         "--out", str(tmp_path / "out.wav")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "tensors in file" in err
         assert not (tmp_path / "out.wav").exists()
 
     def test_selftest_passes(self):

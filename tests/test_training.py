@@ -5,9 +5,15 @@ import numpy.testing as npt
 import pytest
 
 from foleygen import training
-from foleygen.engine import Tensor, grad_check
+from foleygen.avio import sample_window
+from foleygen.engine import Tensor, backward, grad_check
 from foleygen.errors import ContractError, ParameterError, TrainingDivergedError
-from foleygen.models import build_model, load_checkpoint, save_checkpoint
+from foleygen.models import (
+    ModelConfig,
+    build_model,
+    load_checkpoint,
+    save_checkpoint,
+)
 from foleygen.training import (
     TrainConfig,
     evaluate,
@@ -165,6 +171,19 @@ class TestTrainLoop:
         with pytest.raises(ContractError):
             train(model, ds, self._config())
 
+    @pytest.mark.parametrize("steps,interval,saves", [(5, 50, 1), (4, 2, 2)])
+    def test_final_checkpoint_written_once(self, monkeypatch, tmp_path,
+                                           steps, interval, saves):
+        calls = []
+        monkeypatch.setattr(training, "save_checkpoint",
+                            lambda model, path: calls.append(path))
+        ds = make_dataset(frames=8, spf=4)
+        model = build_model(tiny_config("wavenet"), seed=6)
+        train(model, ds, self._config(steps=steps,
+                                      checkpoint_interval=interval),
+              checkpoint_path=tmp_path / "m.bin")
+        assert len(calls) == saves
+
     def test_loss_csv(self, tmp_path):
         ds = make_dataset(frames=8, spf=4)
         model = build_model(tiny_config("wavenet"), seed=6)
@@ -174,6 +193,24 @@ class TestTrainLoop:
         lines = p.read_text().strip().splitlines()
         assert lines[0] == "step,train_loss,val_loss"
         assert len(lines) == 4
+
+
+class TestDefaultWavenetLearns:
+    """The default 14-layer wavenet keeps its tanh head out of saturation,
+    so the clamped xent_bernoulli loss passes a gradient back."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gradient_flows_and_loss_falls(self, seed):
+        ds = make_dataset(frames=12, spf=294, h=8, w=8, fps=30)
+        cfg = ModelConfig(kind="wavenet", spf=294, frame_h=8, frame_w=8)
+        model = build_model(cfg, seed=seed)
+        w = sample_window(ds.av, 5, cfg.audio_ctx_len, cfg.video_ctx_len,
+                          sample_offset=40)
+        backward(loss("xent_bernoulli", model.forward_window(w), w.target.T))
+        assert sum((t.grad ** 2).sum() for t in model.params.values()) > 0
+        rep = train(build_model(cfg, seed=seed), ds,
+                    TrainConfig(steps=200, batch_size=2))
+        assert np.mean(rep.losses[-10:]) < np.mean(rep.losses[:10])
 
 
 class TestEvaluate:
