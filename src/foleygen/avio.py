@@ -67,6 +67,9 @@ class VideoClip:
             )
         if self.frames.shape[0] < 1:
             raise FormatError("video must contain at least one frame")
+        if min(self.frames.shape[2:]) < 1:
+            raise FormatError(
+                f"video frames must be at least 1x1, got {self.frames.shape}")
         if self.frame_rate <= 0:
             raise ParameterError("frame_rate must be positive")
         if not (self.frames.min() >= 0.0 and self.frames.max() <= 1.0):

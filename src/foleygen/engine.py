@@ -660,13 +660,16 @@ def conv1x1_channels(x: Tensor, kernel: Tensor) -> Tensor:
 
 @dataclass
 class AttentionParams:
-    """Projection weights for one multi-head attention layer."""
+    """Projection weights for one multi-head attention layer.
+
+    The key projection has no bias: it would add the same ``q . bk`` to
+    every score of a softmax row, which leaves attention's output as it is.
+    """
     wq: Tensor
     wk: Tensor
     wv: Tensor
     wo: Tensor
     bq: Tensor
-    bk: Tensor
     bv: Tensor
     bo: Tensor
     heads: int
@@ -697,7 +700,7 @@ def multi_head_attention(x: Tensor, params: AttentionParams,
     dh = d_model // h
     xq = x if n == T else x[T - n:]
     q = linear(xq, params.wq, params.bq).reshape(n, h, dh).transpose((1, 0, 2))
-    k = linear(x, params.wk, params.bk).reshape(T, h, dh).transpose((1, 2, 0))
+    k = (x @ params.wk).reshape(T, h, dh).transpose((1, 2, 0))
     v = linear(x, params.wv, params.bv).reshape(T, h, dh).transpose((1, 0, 2))
     scores = (q @ k) * (1.0 / math.sqrt(dh))                # (h, n, T)
     # query i sits at position T-n+i; with n == 1 nothing lies ahead of it

@@ -107,6 +107,18 @@ class JsonConfig:
         return cls(**{**defaults, **fields})
 
 
+# the least value of each size field; d_model and heads are checked together
+_SIZE_FLOORS = {
+    **dict.fromkeys(
+        ("audio_ctx_len", "video_ctx_len", "spf", "frame_h", "frame_w",
+         "embed_channels", "fusion_kernel", "fusion_video_channels",
+         "wn_kernel", "wn_channels", "ff_hidden", "pos_table_len",
+         # with no fusion block, deep fusion never reads its video
+         "fusion_blocks"), 1),
+    **dict.fromkeys(("embed_blocks", "wn_rounds", "tf_blocks"), 0),
+}
+
+
 @dataclass
 class ModelConfig(JsonConfig):
     kind: str = "transformer"
@@ -140,9 +152,15 @@ class ModelConfig(JsonConfig):
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ParameterError(f"unknown model kind {self.kind!r}")
-        if min(self.spf, self.audio_ctx_len, self.video_ctx_len) < 1:
+        self.wn_dilations = tuple(self.wn_dilations)
+        self.strided_schedule = tuple(self.strided_schedule)
+        for name, low in _SIZE_FLOORS.items():
+            if getattr(self, name) < low:
+                raise ParameterError(
+                    f"{name} must be >= {low}, got {getattr(self, name)}")
+        if any(d < 1 for d in self.wn_dilations):
             raise ParameterError(
-                "spf, audio_ctx_len and video_ctx_len must be >= 1")
+                f"wn_dilations entries must be >= 1, got {self.wn_dilations}")
         if self.ctx_mode not in ("strided_embed", "raw_short"):
             raise ParameterError(f"unknown ctx_mode {self.ctx_mode!r}")
         if self.heads < 1 or self.d_model < 1:
@@ -150,8 +168,6 @@ class ModelConfig(JsonConfig):
         if self.d_model % self.heads != 0:
             raise ParameterError(
                 f"d_model {self.d_model} not divisible by heads {self.heads}")
-        self.wn_dilations = tuple(self.wn_dilations)
-        self.strided_schedule = tuple(self.strided_schedule)
         # each strided layer has kernel size and stride 2; only the
         # schedule's length sets the depth
         if any(k != 2 for k in self.strided_schedule):
@@ -160,6 +176,23 @@ class ModelConfig(JsonConfig):
         if self.quantized and self.kind != "transformer":
             raise ParameterError(
                 f"only the transformer has a quantized head, not {self.kind}")
+        if self.kind == "transformer":
+            t = self.token_count
+            if not 1 <= t <= self.pos_table_len:
+                raise ParameterError(
+                    f"{self.ctx_mode} makes {t} tokens from audio_ctx_len "
+                    f"{self.audio_ctx_len}; the transformer needs 1 to "
+                    f"pos_table_len = {self.pos_table_len}")
+
+    @property
+    def token_count(self) -> int:
+        """The transformer's token count: one per sample for raw_short, and
+        for strided_embed what each kernel-2 stride-2 layer leaves."""
+        t = self.audio_ctx_len
+        if self.ctx_mode == "strided_embed":
+            for _ in self.strided_schedule:
+                t = (t - 2) // 2 + 1
+        return t
 
 
 # -- amplitude quantization ---------------------------------------------------
@@ -191,9 +224,11 @@ class FusionBlockParams:
     audio_kernel: Tensor            # (2, 2, K) causal conv on the audio stream
     video_block: ResBlock3DParams
     v2a: ProjectionParams           # (H*W) -> A, c_vid -> 2
-    a2v: ProjectionParams           # A -> (H*W), 2 -> c_vid
+    # a2v and gate_va are None in the last block: no block after it reads
+    # the video stream they would feed
+    a2v: ProjectionParams | None    # A -> (H*W), 2 -> c_vid
     gate_av: Tensor                 # scalar: how much video enters audio
-    gate_va: Tensor                 # scalar: how much audio enters video
+    gate_va: Tensor | None          # scalar: how much audio enters video
 
 
 @dataclass
@@ -208,15 +243,20 @@ def _build_deep_fusion(cfg: ModelConfig, rng) -> DeepFusionParams:
     hw = cfg.frame_h * cfg.frame_w
     cv = cfg.fusion_video_channels
     blocks = []
-    for _ in range(cfg.fusion_blocks):
-        blocks.append(FusionBlockParams(
+    for i in range(cfg.fusion_blocks):
+        blk = FusionBlockParams(
             audio_kernel=_init(rng, 2, 2, cfg.fusion_kernel),
             video_block=ResBlock3DParams.create(rng, cv),
             v2a=ProjectionParams.create(rng, hw, cfg.audio_ctx_len, cv, 2),
             a2v=ProjectionParams.create(rng, cfg.audio_ctx_len, hw, 2, cv),
             gate_av=Tensor(np.ones(()), requires_grad=True),
             gate_va=Tensor(np.ones(()), requires_grad=True),
-        ))
+        )
+        if i == cfg.fusion_blocks - 1:
+            # the last a2v is still drawn, so entry and head_w keep
+            # the values that the rng gives them
+            blk.a2v = blk.gate_va = None
+        blocks.append(blk)
     return DeepFusionParams(
         entry=_init(rng, cv, 3),
         blocks=blocks,
@@ -244,6 +284,8 @@ def deep_fusion_forward(audio_ctx: Tensor, video_ctx: Tensor,
         video_b = res_block_3d(video, blk.video_block)
         audio = audio_b + scalar_scale(video_to_audio(video_b, blk.v2a),
                                        blk.gate_av)
+        if blk.a2v is None:
+            break
         inject = audio_to_video(audio_b, blk.a2v, h, w)
         video = video_b + scalar_scale(expand_axis(inject, 1, n), blk.gate_va)
     return linear(audio, params.head_w, params.head_b).tanh()
@@ -256,7 +298,7 @@ def deep_fusion_forward(audio_ctx: Tensor, video_ctx: Tensor,
 class WavenetParams:
     embedder: VideoEmbedderParams
     entry: Tensor                   # (R, 2, K) causal entry conv
-    blocks: list                    # [(kernel, dilation)]
+    blocks: list                    # [(kernel, dilation)], kernel (R, R, taps)
     head_mix: Tensor                # (2, R)
     head_b: Tensor                  # (2,)
 
@@ -271,7 +313,12 @@ def _build_wavenet(cfg: ModelConfig, rng) -> WavenetParams:
     blocks = []
     for _ in range(cfg.wn_rounds):
         for d in cfg.wn_dilations:
-            blocks.append((_init(rng, R, R, K, scale=scale), d))
+            # drawn whole, so later draws do not move; tap k reads
+            # x[t - k*d], only zero padding once k*d >= A
+            w = _init(rng, R, R, K, scale=scale).data
+            taps = min(K, -(-cfg.audio_ctx_len // d))
+            blocks.append((Tensor(w[:, :, :taps].copy(), requires_grad=True),
+                           d))
     return WavenetParams(
         embedder=VideoEmbedderParams.create(
             rng, cfg.frame_h, cfg.frame_w, cfg.audio_ctx_len,
@@ -327,7 +374,7 @@ class TransformerParams:
     strided: list                   # strided_embed: [(c_out, c_in, 2)] kernels
     lift_w: Tensor | None           # raw_short: per-sample (2, d_model) lift
     lift_b: Tensor | None
-    pos: Tensor                     # (pos_table_len, d_model)
+    pos: Tensor                     # (token_count, d_model)
     blocks: list
     dec_w: Tensor                   # (d_model, 2) or (d_model, 512) quantized
     dec_b: Tensor
@@ -347,7 +394,6 @@ def _build_transformer(cfg: ModelConfig, rng) -> TransformerParams:
             wq=_init(rng, dm, dm), wk=_init(rng, dm, dm),
             wv=_init(rng, dm, dm), wo=_init(rng, dm, dm),
             bq=Tensor(np.zeros(dm), requires_grad=True),
-            bk=Tensor(np.zeros(dm), requires_grad=True),
             bv=Tensor(np.zeros(dm), requires_grad=True),
             bo=Tensor(np.zeros(dm), requires_grad=True),
             heads=cfg.heads,
@@ -367,7 +413,8 @@ def _build_transformer(cfg: ModelConfig, rng) -> TransformerParams:
         strided=strided,
         lift_w=_init(rng, 2, dm) if raw else None,
         lift_b=Tensor(np.zeros(dm), requires_grad=True) if raw else None,
-        pos=_init(rng, cfg.pos_table_len, dm, scale=0.1),
+        # drawn last, so its size moves no other tensor's seeded values
+        pos=_init(rng, cfg.token_count, dm, scale=0.1),
         blocks=blocks,
         # zero, as Fixup starts the final layer: training grows the head
         # from a constant output instead of a random one
@@ -397,11 +444,7 @@ def transformer_forward(audio_ctx: Tensor, video_embed: Tensor,
     else:                                             # raw_short
         tokens = linear(x.T, params.lift_w, params.lift_b)
     t_tok = tokens.shape[0]
-    if t_tok > params.pos.shape[0]:
-        raise ParameterError(
-            f"{t_tok} tokens exceed positional table of {params.pos.shape[0]}"
-        )
-    tokens = tokens + params.pos[:t_tok]
+    tokens = tokens + params.pos
     # Only the last token is emitted. The final block attends from it alone,
     # so its residual, feed-forward and the decoder run on one row; earlier
     # blocks still give every token's keys and values to the next.
@@ -528,7 +571,9 @@ def build_model(config: ModelConfig, seed: int = 0,
 # -- checkpoints --------------------------------------------------------------
 
 _CKPT_MAGIC = b"FGCK"
-_CKPT_VERSION = 2  # 2: tensors named by their path in the parameter tree
+# 2: tensors named by their path in the parameter tree; 3: only the
+# tensor elements that the forward pass reads
+_CKPT_VERSION = 3
 
 
 def save_checkpoint(model: Model, path) -> None:

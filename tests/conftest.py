@@ -1,8 +1,16 @@
 import builtins
+import json
+import struct
 
 import numpy as np
 
-from foleygen.avio import AlignedAV, AudioBuffer, Dataset, VideoClip
+from foleygen.avio import (
+    AlignedAV,
+    AudioBuffer,
+    Dataset,
+    VideoClip,
+    save_dataset,
+)
 from foleygen.engine import Tensor
 from foleygen.models import ModelConfig, build_model, save_checkpoint
 
@@ -36,6 +44,41 @@ def fill_head(model, seed: int) -> None:
               / np.sqrt(w.shape[1]))
 
 
+# One config per ModelConfig size rule, each breaking that rule alone
+# (on a tiny wavenet's other fields where a checkpoint is rewritten).
+BAD_MODEL_SIZES = [
+    *({name: 0} for name in (
+        "audio_ctx_len", "video_ctx_len", "spf", "frame_h", "frame_w",
+        "embed_channels", "fusion_kernel", "fusion_video_channels",
+        "wn_kernel", "wn_channels", "ff_hidden", "pos_table_len",
+        "fusion_blocks")),
+    {"ff_hidden": -1},
+    {"wn_dilations": [1, 0]},
+    {"embed_blocks": -1},
+    {"wn_rounds": -1},
+    {"tf_blocks": -1},
+    # strided_embed: 3 samples -> 1 -> 0 tokens
+    {"kind": "transformer", "audio_ctx_len": 3, "strided_schedule": [2, 2]},
+    # raw_short: 16 tokens, one more than the cap
+    {"kind": "transformer", "ctx_mode": "raw_short", "audio_ctx_len": 16,
+     "pos_table_len": 15},
+]
+
+
+def bad_size_id(fields: dict) -> str:
+    return "-".join(f"{k}={v}" for k, v in fields.items() if k != "kind")
+
+
+def rewrite_config(path, fields: dict) -> None:
+    """Put ``fields`` into the model config of the checkpoint at ``path``."""
+    raw = path.read_bytes()
+    (clen,) = struct.unpack_from("<I", raw, 8)
+    config = {**json.loads(raw[12:12 + clen]), **fields}
+    text = json.dumps(config).encode()
+    path.write_bytes(raw[:8] + struct.pack("<I", len(text)) + text
+                     + raw[12 + clen:])
+
+
 def save_with_both_front_ends(config: ModelConfig, path) -> None:
     """Save a transformer together with the token front-end its ctx_mode
     does not read, as earlier versions built and saved both."""
@@ -64,6 +107,17 @@ def make_dataset(frames=12, spf=4, h=4, w=4, fps=5, seed=0,
         spf=spf,
     )
     return Dataset(av=av, train_fraction=train_fraction)
+
+
+def save_zero_size_dataset(path, axis: str) -> None:
+    """A dataset file whose header declares frames of height or width 0,
+    with the audio it declares and no pixel bytes."""
+    save_dataset(make_dataset(frames=4, spf=2), path)
+    raw = bytearray(path.read_bytes())
+    field = {"height": "<4sIIIIII", "width": "<4sIIIIIII"}[axis]
+    struct.pack_into("<I", raw, struct.calcsize(field) - 4, 0)
+    audio_bytes = 4 * 2 * 2 * 4
+    path.write_bytes(bytes(raw[:struct.calcsize("<4sIIIIIIId") + audio_bytes]))
 
 
 def fail_on_nth_write(monkeypatch, module, n: int) -> None:

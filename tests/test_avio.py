@@ -28,7 +28,7 @@ from foleygen.errors import (
     ParameterError,
     UnsupportedError,
 )
-from conftest import fail_on_nth_write, make_dataset
+from conftest import fail_on_nth_write, make_dataset, save_zero_size_dataset
 
 
 def write_pcm16_wav(path, samples, rate):
@@ -374,6 +374,13 @@ class TestDataset:
         struct.pack_into("<d", raw, struct.calcsize("<4sIIIIIII"), frac)
         p.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
+            load_dataset(p)
+
+    @pytest.mark.parametrize("axis", ["height", "width"])
+    def test_zero_frame_size_is_format_error(self, tmp_path, axis):
+        p = tmp_path / "ds.bin"
+        save_zero_size_dataset(p, axis)
+        with pytest.raises(FormatError, match="1x1"):
             load_dataset(p)
 
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):

@@ -35,7 +35,6 @@ def rand_attention_params(rng, d, heads):
         wv=Tensor(rng.uniform(-1, 1, (d, d)), requires_grad=True),
         wo=Tensor(rng.uniform(-1, 1, (d, d)), requires_grad=True),
         bq=Tensor(rng.uniform(-1, 1, d), requires_grad=True),
-        bk=Tensor(rng.uniform(-1, 1, d), requires_grad=True),
         bv=Tensor(rng.uniform(-1, 1, d), requires_grad=True),
         bo=Tensor(rng.uniform(-1, 1, d), requires_grad=True),
         heads=heads,
@@ -408,7 +407,7 @@ class TestAttention:
         x = rng.uniform(-1, 1, (T, d))
         # independent straight-line computation
         q = x @ p.wq.data + p.bq.data
-        k = x @ p.wk.data + p.bk.data
+        k = x @ p.wk.data
         v = x @ p.wv.data + p.bv.data
         scores = q @ k.T / math.sqrt(d)
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
@@ -483,7 +482,7 @@ def multi_head_attention_per_head(x, params, causal_mask=False):
     h = params.heads
     dh = d_model // h
     q = linear(x, params.wq, params.bq)
-    k = linear(x, params.wk, params.bk)
+    k = x @ params.wk
     v = linear(x, params.wv, params.bv)
     mask = None
     if causal_mask:
@@ -665,13 +664,7 @@ class TestGradCheck:
             last_n = 2 if name.endswith("last2") else None
             fn = lambda x, *ts: (multi_head_attention(
                 x, p, causal, last_n=last_n) ** 2).sum()
-            # bk's true gradient is identically zero (softmax is invariant to
-            # shifting every key), so finite differences only see noise there;
-            # assert the exact zero separately and grad-check the rest
-            engine.backward(fn(x))
-            npt.assert_allclose(p.bk.grad, np.zeros(4), atol=1e-12)
-            ins = [x] + [t for n_, t in vars(p).items()
-                         if n_ not in ("bk", "heads")]
+            ins = [x] + [t for n_, t in vars(p).items() if n_ != "heads"]
         elif name == "clamp":
             # stay away from the clamp boundaries
             x = Tensor(rng.uniform(0.2, 0.8, (2, 6)), requires_grad=True)

@@ -10,7 +10,15 @@ from foleygen.avio import AudioBuffer, load_dataset, load_wav
 from foleygen.errors import FormatError
 from foleygen.generation import write_wav, write_waveform_csv
 from foleygen.report import format_loss, loss_table, plot_waveform
-from conftest import save_with_both_front_ends, tiny_config
+from foleygen.models import build_model, save_checkpoint
+from conftest import (
+    BAD_MODEL_SIZES,
+    bad_size_id,
+    rewrite_config,
+    save_with_both_front_ends,
+    save_zero_size_dataset,
+    tiny_config,
+)
 
 
 class TestFormatLoss:
@@ -265,6 +273,18 @@ class TestCliPipeline:
                        "--model", "wavenet", "--out", str(tmp_path / "m.bin")])
         assert rc == 2
 
+    @pytest.mark.parametrize("axis", ["height", "width"])
+    def test_zero_frame_size_dataset_exit_code(self, tmp_path, capsys, axis):
+        bad = tmp_path / "bad.bin"
+        save_zero_size_dataset(bad, axis)
+        (tmp_path / "t.json").write_text(json.dumps({"steps": 1}))
+        capsys.readouterr()
+        assert cli.main(["train", "--dataset", str(bad),
+                         "--config", str(tmp_path / "t.json"),
+                         "--model", "wavenet",
+                         "--out", str(tmp_path / "m.bin")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("command", ["generate", "eval"])
     @pytest.mark.parametrize("ingest_args,key,values", [
         (["--rate", "40", "--height", "4", "--width", "4"], "spf", ("4", "8")),
@@ -464,6 +484,37 @@ class TestCliPipeline:
                          "--out", str(tmp_path / "out.wav")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "version 1" in err
+        assert not (tmp_path / "out.wav").exists()
+
+    def test_generate_refuses_version_2_checkpoint(self, tmp_path, capsys):
+        ds_path, ckpt = run_pipeline(tmp_path, steps=1)
+        raw = ckpt.read_bytes()
+        ckpt.write_bytes(raw[:4] + struct.pack("<I", 2) + raw[8:])
+        capsys.readouterr()
+        assert cli.main(["generate", "--checkpoint", str(ckpt),
+                         "--dataset", str(ds_path),
+                         "--out", str(tmp_path / "out.wav")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "version 2" in err
+        assert not (tmp_path / "out.wav").exists()
+
+    @pytest.mark.parametrize("fields", BAD_MODEL_SIZES, ids=bad_size_id)
+    def test_generate_refuses_checkpoint_size_that_would_crash(
+            self, tmp_path, capsys, fields):
+        manifest = make_fixture(tmp_path)
+        ds_path = tmp_path / "data.bin"
+        assert cli.main(["ingest", "--manifest", str(manifest),
+                         "--out", str(ds_path), "--rate", "20",
+                         "--height", "4", "--width", "4"]) == 0
+        ckpt = tmp_path / "m.bin"
+        save_checkpoint(build_model(tiny_config("wavenet"), seed=0), ckpt)
+        rewrite_config(ckpt, fields)
+        capsys.readouterr()
+        assert cli.main(["generate", "--checkpoint", str(ckpt),
+                         "--dataset", str(ds_path),
+                         "--out", str(tmp_path / "out.wav")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "model config" in err
         assert not (tmp_path / "out.wav").exists()
 
     def test_generate_refuses_checkpoint_with_unread_front_end(self, tmp_path,
