@@ -3,7 +3,8 @@
 Subcommands: ingest, train, generate, eval, plot, selftest.
 Exit codes: 0 success, 2 validation/usage error, 1 internal error.
 Every produced artifact gets a JSON run-manifest sidecar recording the
-command, seed, and content hashes of its inputs.
+package version, the command, seed, wall seconds and content hashes of its
+inputs; generation also records its real-time factor.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import hashlib
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
-from . import avio, generation, models, report, training
+from . import __version__, avio, generation, models, report, training
 from .errors import ContractError, FoleygenError
 
 _LOSS_FLAG = {
@@ -52,13 +54,17 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(command: str, args, inputs, outputs) -> None:
+def _write_manifest(command: str, args, inputs, outputs, **extra) -> None:
+    """Write the sidecar; ``seconds`` is the command's wall time so far."""
     manifest = {
+        "version": __version__,
         "command": command,
         "argv": sys.argv[1:],
         "seed": getattr(args, "seed", None),
+        "seconds": time.perf_counter() - args.started,
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
+        **extra,
     }
     primary = Path(outputs[0])
     primary.with_suffix(primary.suffix + ".manifest.json").write_text(
@@ -133,7 +139,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_generate(args) -> int:
     model, ds = _load_for_dataset(args)
+    t0 = time.perf_counter()
     audio = generation.generate(model, ds.av.video, total_frames=args.frames)
+    wall = time.perf_counter() - t0
+    rtf = len(audio) / audio.sample_rate / wall
     out = _out_path(args.out)
     generation.write_wav(audio, out)
     outputs = [out]
@@ -141,8 +150,10 @@ def _cmd_generate(args) -> int:
         csv_path = _out_path(args.csv)
         generation.write_waveform_csv(audio, csv_path)
         outputs.append(csv_path)
-    _write_manifest("generate", args, [args.checkpoint, args.dataset], outputs)
-    print(f"generated {len(audio)} samples at {audio.sample_rate} Hz -> {out}")
+    _write_manifest("generate", args, [args.checkpoint, args.dataset], outputs,
+                    real_time_factor=rtf)
+    print(f"generated {len(audio)} samples at {audio.sample_rate} Hz in "
+          f"{wall:.3g} s (real-time factor {rtf:.3g}) -> {out}")
     return 0
 
 
@@ -238,6 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.started = time.perf_counter()
     try:
         return args.fn(args)
     except FoleygenError as e:

@@ -2,8 +2,9 @@
 
 The engine provides exactly the operations the audio/video generator
 architectures need: dense layers, 2-D and stacked (h, m, k) @ (h, k, n)
-matmuls, causal/strided/volumetric convolutions, head-batched multi-head
-attention (optionally from the last n positions only), the usual pointwise
+matmuls, causal/strided/volumetric convolutions, the fused causal residual
+layer ``h + relu(conv1d_causal(h))``, head-batched multi-head attention
+(optionally from the last n positions only), the usual pointwise
 nonlinearities, and a built-in central-finite-difference gradient checker.
 
 Design constraints:
@@ -267,11 +268,10 @@ class Tensor:
         return out
 
     def relu(self):
-        # gradient at exactly 0 is 0
-        mask = self.data > 0
-        out = Tensor._result(np.where(mask, self.data, 0.0), (self,), None)
+        # -0.0 maps to +0.0, NaN propagates; gradient at exactly 0 is 0
+        out = Tensor._result(np.maximum(self.data, 0.0), (self,), None)
         if out.requires_grad:
-            def bw(g, a=self, mask=mask):
+            def bw(g, a=self, mask=self.data > 0):
                 a.grad += g * mask
             out._backward = bw
         return out
@@ -433,6 +433,50 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def _check_causal(x: Tensor, kernel: Tensor, dilation, opname: str) -> range:
+    """Validate a causal conv's operands; return the shifts of taps 1.. that
+    fall inside the input (a tap with k*d >= T sees only zero padding)."""
+    if not isinstance(dilation, int) or dilation < 1:
+        raise ParameterError(f"dilation must be a positive int, got {dilation}")
+    xs, ks = x.data.shape, kernel.data.shape
+    if len(xs) != 2 or len(ks) != 3:
+        raise ShapeError(
+            f"{opname}: x {xs} must be (ch_in,T), "
+            f"kernel {ks} must be (ch_out,ch_in,K)"
+        )
+    if xs[0] != ks[1]:
+        raise ShapeError(f"{opname}: x channels {xs} vs kernel {ks}")
+    if ks[2] < 1:
+        raise ParameterError("kernel size must be >= 1")
+    return range(dilation, min(ks[2] * dilation, xs[1]), dilation)
+
+
+def _causal_taps(w, xd, shifts) -> np.ndarray:
+    """Shift-and-GEMM: ``W[:, :, 0] @ x``, plus ``W[:, :, k] @ x[:, :T-s]``
+    added into ``y[:, s:]`` for tap k at shift s."""
+    T = xd.shape[1]
+    y = w[:, :, 0] @ xd
+    for k, s in enumerate(shifts, 1):
+        y[:, s:] += w[:, :, k] @ xd[:, :T - s]
+    return y
+
+
+def _causal_taps_backward(g, x: Tensor, xd, kernel: Tensor, shifts) -> None:
+    """Add the kernel and input gradients of ``_causal_taps`` for output
+    gradient g, over the same tap slices; xd is x's data at forward time."""
+    T = xd.shape[1]
+    if kernel.requires_grad:
+        kernel.grad[:, :, 0] += g @ xd.T
+        for k, s in enumerate(shifts, 1):
+            kernel.grad[:, :, k] += g[:, s:] @ xd[:, :T - s].T
+    if x.requires_grad:
+        w = kernel.data
+        gx = w[:, :, 0].T @ g
+        for k, s in enumerate(shifts, 1):
+            gx[:, :T - s] += w[:, :, k].T @ g[:, s:]
+        x.grad += gx
+
+
 def conv1d_causal(x: Tensor, kernel: Tensor, dilation: int = 1) -> Tensor:
     """Left-padded dilated convolution: output t sees x[.., t - d*k] only.
 
@@ -443,40 +487,41 @@ def conv1d_causal(x: Tensor, kernel: Tensor, dilation: int = 1) -> Tensor:
     backward pass uses the same slices. A tap with k*d >= T sees only the
     zero padding and is skipped.
     """
-    if not isinstance(dilation, int) or dilation < 1:
-        raise ParameterError(f"dilation must be a positive int, got {dilation}")
-    if x.data.ndim != 2 or kernel.data.ndim != 3:
-        raise ShapeError(
-            f"conv1d_causal: x {x.shape} must be (ch_in,T), "
-            f"kernel {kernel.shape} must be (ch_out,ch_in,K)"
-        )
-    ch_out, ch_in, K = kernel.shape
-    if x.shape[0] != ch_in:
-        raise ShapeError(
-            f"conv1d_causal: x channels {x.shape} vs kernel {kernel.shape}"
-        )
-    if K < 1:
-        raise ParameterError("kernel size must be >= 1")
-    T = x.shape[1]
-    shifts = range(dilation, min(K * dilation, T), dilation)
-    w, xd = kernel.data, x.data
-    y = w[:, :, 0] @ xd
-    for k, s in enumerate(shifts, 1):
-        y[:, s:] += w[:, :, k] @ xd[:, :T - s]
-    out = Tensor._result(y, (x, kernel), None)
+    shifts = _check_causal(x, kernel, dilation, "conv1d_causal")
+    xd = x.data
+    out = Tensor._result(_causal_taps(kernel.data, xd, shifts), (x, kernel), None)
     if out.requires_grad:
-        def bw(g, x=x, kernel=kernel, xd=xd):
-            w = kernel.data
-            if kernel.requires_grad:
-                kernel.grad[:, :, 0] += g @ xd.T
-                for k, s in enumerate(shifts, 1):
-                    kernel.grad[:, :, k] += g[:, s:] @ xd[:, :T - s].T
-            if x.requires_grad:
-                gx = w[:, :, 0].T @ g
-                for k, s in enumerate(shifts, 1):
-                    gx[:, :T - s] += w[:, :, k].T @ g[:, s:]
-                x.grad += gx
+        def bw(g, x=x, xd=xd, kernel=kernel):
+            _causal_taps_backward(g, x, xd, kernel, shifts)
         out._backward = bw
+    return out
+
+
+def causal_residual(h: Tensor, kernel: Tensor, dilation: int) -> Tensor:
+    """``h + relu(conv1d_causal(h, kernel, dilation))`` as one tape node.
+
+    h: (ch, T), kernel: (ch, ch, K) -> (ch, T). The values and every
+    gradient are bit for bit those of the op-by-op graph: the backward adds
+    g to h's gradient first, then the conv's input gradient of ``g * mask``.
+    """
+    shifts = _check_causal(h, kernel, dilation, "causal_residual")
+    ch_out, ch_in, _ = kernel.data.shape
+    if ch_out != ch_in:
+        raise ShapeError(
+            f"causal_residual: kernel {kernel.shape} must map ch_in to ch_in"
+        )
+    hd = h.data
+    y = _causal_taps(kernel.data, hd, shifts)
+    np.maximum(y, 0.0, out=y)
+    out = Tensor._result(y, (h, kernel), None)
+    if out.requires_grad:
+        # read before h is added into y in place below
+        def bw(g, h=h, hd=hd, kernel=kernel, mask=y > 0):
+            if h.requires_grad:
+                h.grad += g
+            _causal_taps_backward(g * mask, h, hd, kernel, shifts)
+        out._backward = bw
+    y += hd
     return out
 
 

@@ -30,6 +30,7 @@ from .crossmodal import (
 from .engine import (
     AttentionParams,
     Tensor,
+    causal_residual,
     conv1d_causal,
     conv1d_strided,
     conv1x1_channels,
@@ -349,7 +350,7 @@ def wavenet_forward(audio_ctx: Tensor, video_embed: Tensor,
     x = audio_ctx + video_embed
     h = conv1d_causal(x, params.entry, 1)
     for kernel, d in params.blocks:
-        h = h + conv1d_causal(h, kernel, d).relu()
+        h = causal_residual(h, kernel, d)
     T = h.shape[1]
     y = conv1x1_channels(h, params.head_mix)
     y = (y + expand_axis(params.head_b, 1, T)).tanh()
@@ -642,6 +643,8 @@ def load_checkpoint(path, precision: str = "float64") -> Model:
             raise FormatError(
                 f"{path}: tensor {name!r} shape {shape} != {t.data.shape}"
             )
+        if not np.isfinite(data).all():
+            raise FormatError(f"{path}: tensor {name!r} holds NaN or inf")
         t.data = data.reshape(t.data.shape).astype(t.data.dtype)
     if pos != len(raw):
         raise FormatError(f"{path}: {len(raw) - pos} bytes after the last tensor")

@@ -12,6 +12,7 @@ from .avio import AudioBuffer, VideoClip, align, sample_window
 from .engine import (
     AttentionParams,
     Tensor,
+    causal_residual,
     conv1d_causal,
     conv3d,
     grad_check,
@@ -42,6 +43,11 @@ def _gradient_suite(rng) -> list:
     err = grad_check(lambda x, k: conv1d_causal(x, k, 2).sum(), [x, k])
     if err >= 1e-4:
         failures.append(f"conv1d_causal grad error {err:.2e}")
+
+    err = grad_check(lambda x, k: (causal_residual(x, k, 2) ** 2).sum(),
+                     [x, k])
+    if err >= 1e-3:
+        failures.append(f"causal_residual grad error {err:.2e}")
 
     x = Tensor(rng.uniform(-2, 2, (2, 3, 4, 4)), requires_grad=True)
     k = Tensor(rng.uniform(-2, 2, (2, 2, 2, 2, 2)), requires_grad=True)

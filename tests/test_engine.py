@@ -13,6 +13,7 @@ from foleygen.engine import (
     AttentionParams,
     Tensor,
     backward,
+    causal_residual,
     concat,
     conv1d_causal,
     conv1d_strided,
@@ -154,6 +155,67 @@ class TestConv1dCausalShiftGemm:
         k = Tensor(rng.uniform(-1, 1, (3, 2, 3)), requires_grad=True)
         fn = lambda x, k: (conv1d_causal(x, k, 4) ** 2).sum()
         assert grad_check(fn, [x, k], eps=1e-5) < 1e-6
+
+
+def residual_op_by_op(h, k, dilation):
+    """The wavenet residual layer as separate conv, ReLU and add nodes."""
+    return h + conv1d_causal(h, k, dilation).relu()
+
+
+class TestCausalResidual:
+    """The fused residual layer against the op-by-op graph it replaces."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("dilation", [1, 2, 16, 64])
+    def test_bit_identical_to_op_by_op(self, dilation, K, dtype):
+        # T = 64: at dilation 64 every tap past the first is skipped
+        rng = np.random.default_rng(100 * K + dilation)
+        h0 = rng.standard_normal((4, 64))
+        k0 = rng.standard_normal((4, 4, K))
+        g = Tensor(rng.standard_normal((4, 64)), dtype=dtype)
+        results = []
+        for op in (causal_residual, residual_op_by_op):
+            h = Tensor(h0, requires_grad=True, dtype=dtype)
+            k = Tensor(k0, requires_grad=True, dtype=dtype)
+            y = op(h, k, dilation)
+            backward((y * g).sum())
+            with engine.no_grad():
+                free = op(h, k, dilation)
+            assert not free.requires_grad
+            results.append((y.data, h.grad, k.grad, free.data))
+        for name, a, b in zip(("y", "grad h", "grad kernel", "no_grad y"),
+                              *results):
+            assert a.dtype == b.dtype == dtype, name
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_grad_check(self):
+        rng = np.random.default_rng(65)
+        h = Tensor(rng.uniform(-1, 1, (3, 10)), requires_grad=True)
+        k = Tensor(rng.uniform(-1, 1, (3, 3, 3)), requires_grad=True)
+        conv = conv1d_causal(h, k, 4).data
+        assert (conv < 0).any() and (conv > 0).any()    # the ReLU cuts
+        fn = lambda h, k: (causal_residual(h, k, 4) ** 2).sum()
+        assert grad_check(fn, [h, k], eps=1e-5) < 1e-3
+
+    @pytest.mark.parametrize("op", [conv1d_causal, causal_residual])
+    @pytest.mark.parametrize("x_shape,k_shape,dilation,err", [
+        ((2, 8), (2, 2, 3), 0, ParameterError),
+        ((2, 8), (2, 2, 3), 1.0, ParameterError),
+        ((2, 8, 1), (2, 2, 3), 1, ShapeError),
+        ((2, 8), (2, 2), 1, ShapeError),
+        ((3, 8), (2, 2, 3), 1, ShapeError),
+        ((2, 8), (2, 2, 0), 1, ParameterError),
+    ])
+    def test_bad_input_typed_error(self, op, x_shape, k_shape, dilation,
+                                   err):
+        with pytest.raises(err):
+            op(Tensor(np.zeros(x_shape)), Tensor(np.zeros(k_shape)), dilation)
+
+    def test_kernel_must_keep_the_channel_count(self):
+        with pytest.raises(ShapeError, match="causal_residual"):
+            causal_residual(Tensor(np.zeros((2, 8))),
+                            Tensor(np.zeros((3, 2, 1))), 1)
 
 
 class TestNoGrad:
@@ -564,6 +626,27 @@ class TestActivation:
 
     def test_relu(self):
         npt.assert_array_equal(Tensor([-1.0, 2.0]).relu().data, [0.0, 2.0])
+
+    def test_relu_keeps_nan_and_clears_negative_zero(self):
+        y = Tensor([np.nan, -0.0, 0.0, -1.0, 2.0]).relu().data
+        assert np.isnan(y[0])
+        npt.assert_array_equal(y[1:], [0.0, 0.0, 0.0, 2.0])
+        assert not np.signbit(y[1:]).any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_bits_match_where_without_nan(self, dtype):
+        rng = np.random.default_rng(9)
+        x = np.concatenate([rng.standard_normal(61), [-0.0, 0.0, 5e-324,
+                            -5e-324, np.inf, -np.inf]]).astype(dtype)
+        y = Tensor(x, dtype=dtype).relu().data
+        assert y.tobytes() == np.where(x > 0, x, 0.0).astype(dtype).tobytes()
+
+    def test_relu_gradient(self):
+        x = np.array([-1.5, -0.0, 0.0, 1e-300, 2.0, np.nan])
+        g = np.array([0.5, -2.0, 3.0, -4.0, 5.0, 6.0])
+        t = Tensor(x, requires_grad=True)
+        backward((t.relu() * Tensor(g)).sum())
+        npt.assert_array_equal(t.grad, g * (x > 0))
 
     def test_softmax_symmetry(self):
         y = Tensor([3.3, 3.3, 3.3]).softmax_lastdim().data

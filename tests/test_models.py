@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from foleygen import avio
+from foleygen import avio, models
 from foleygen.engine import (
     Tensor,
     backward,
@@ -485,12 +485,15 @@ def dead_elements(monkeypatch, cfg) -> dict:
     random cotangent leaves at exactly zero gradient.
 
     ReLU and tanh are the identity here, so that no unit is dead or
-    saturated on the data, and the transformer's zero head is filled, so
-    that gradient flows through it: what stays at zero is an element that
-    the output cannot depend on.
+    saturated on the data (the wavenet's fused residual layer, which applies
+    its ReLU inside the op, becomes ``h + conv1d_causal(h)``), and the
+    transformer's zero head is filled, so that gradient flows through it:
+    what stays at zero is an element that the output cannot depend on.
     """
     monkeypatch.setattr(Tensor, "relu", lambda self: self)
     monkeypatch.setattr(Tensor, "tanh", lambda self: self)
+    monkeypatch.setattr(models, "causal_residual",
+                        lambda h, k, d: h + conv1d_causal(h, k, d))
     m = build_model(cfg, seed=0)
     if cfg.kind == "transformer":
         fill_head(m, 0)
@@ -570,6 +573,15 @@ class TestCheckpoint:
         y, y2 = (mm.forward_core(audio, mm.embed(video)).data
                  for mm in (m, m2))
         npt.assert_array_equal(y, y2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite_tensor(self, tmp_path, value):
+        m = build_model(tiny_config("wavenet"), seed=0)
+        m.params["head_b"].data[1] = value
+        p = tmp_path / "ckpt.bin"
+        save_checkpoint(m, p)
+        with pytest.raises(FormatError, match="'head_b'"):
+            load_checkpoint(p)
 
     def test_trained_transformer_evaluates_the_same_after_reload(self,
                                                                  tmp_path):

@@ -1,16 +1,17 @@
 import json
 import struct
+from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import numpy as np
 import pytest
 
-from foleygen import cli, generation, training
+from foleygen import __version__, cli, generation, training
 from foleygen.avio import AudioBuffer, load_dataset, load_wav
 from foleygen.errors import FormatError
 from foleygen.generation import write_wav, write_waveform_csv
 from foleygen.report import format_loss, loss_table, plot_waveform
-from foleygen.models import build_model, save_checkpoint
+from foleygen.models import build_model, load_checkpoint, save_checkpoint
 from conftest import (
     BAD_MODEL_SIZES,
     bad_size_id,
@@ -210,6 +211,32 @@ class TestCliPipeline:
                        "--rate", "20", "--out", str(svg)])
         assert rc == 0
         ET.parse(svg)  # well-formed XML
+
+    def test_sidecars_record_version_seconds_and_real_time_factor(
+            self, tmp_path, capsys):
+        ds_path, ckpt = run_pipeline(tmp_path)
+        wav, csv_path, svg = (tmp_path / n for n in ("out.wav", "out.csv",
+                                                     "out.svg"))
+        capsys.readouterr()
+        assert cli.main(["generate", "--checkpoint", str(ckpt),
+                         "--dataset", str(ds_path), "--out", str(wav),
+                         "--csv", str(csv_path), "--frames", "2"]) == 0
+        out = capsys.readouterr().out
+        assert cli.main(["plot", "--csv", str(csv_path), "--spf", "4",
+                         "--rate", "20", "--out", str(svg)]) == 0
+        sides = {}
+        for command, path in [("ingest", ds_path), ("train", ckpt),
+                              ("generate", wav), ("plot", svg)]:
+            side = json.loads(Path(f"{path}.manifest.json").read_text())
+            assert side["command"] == command
+            assert side["version"] == __version__
+            assert 0 < side["seconds"] < 600
+            assert ("real_time_factor" in side) == (command == "generate")
+            sides[command] = side
+        rtf = sides["generate"]["real_time_factor"]
+        assert f" s (real-time factor {rtf:.3g}) -> " in out
+        # 8 samples at 20 Hz last 0.4 s; generation is part of the command
+        assert 0.4 / sides["generate"]["seconds"] <= rtf < float("inf")
 
     @pytest.mark.parametrize("command,target", [
         ("generate", (generation, "generate")),
@@ -496,6 +523,19 @@ class TestCliPipeline:
                          "--out", str(tmp_path / "out.wav")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "version 2" in err
+        assert not (tmp_path / "out.wav").exists()
+
+    def test_generate_refuses_non_finite_checkpoint(self, tmp_path, capsys):
+        ds_path, ckpt = run_pipeline(tmp_path, steps=1)
+        m = load_checkpoint(ckpt)
+        m.params["head_b"].data[:] = np.nan
+        save_checkpoint(m, ckpt)
+        capsys.readouterr()
+        assert cli.main(["generate", "--checkpoint", str(ckpt),
+                         "--dataset", str(ds_path),
+                         "--out", str(tmp_path / "out.wav")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'head_b'" in err
         assert not (tmp_path / "out.wav").exists()
 
     @pytest.mark.parametrize("fields", BAD_MODEL_SIZES, ids=bad_size_id)
