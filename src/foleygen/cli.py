@@ -2,9 +2,10 @@
 
 Subcommands: ingest, train, generate, eval, plot, selftest.
 Exit codes: 0 success, 2 validation/usage error, 1 internal error.
-Every produced artifact gets a JSON run-manifest sidecar recording the
-package version, the command, seed, wall seconds and content hashes of its
-inputs; generation also records its real-time factor.
+Every produced artifact gets a JSON run-manifest sidecar, replaced whole,
+recording the package version, the command, seed, wall seconds, peak RSS
+and content hashes of its inputs; training also records its model and train
+configs, generation the checkpoint's model config and its real-time factor.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, avio, generation, models, report, training
@@ -55,21 +58,20 @@ def _sha256(path) -> str:
 
 
 def _write_manifest(command: str, args, inputs, outputs, **extra) -> None:
-    """Write the sidecar; ``seconds`` is the command's wall time so far."""
+    """Replace the sidecar whole; seconds and peak RSS are the run's so far."""
     manifest = {
         "version": __version__,
         "command": command,
         "argv": sys.argv[1:],
         "seed": getattr(args, "seed", None),
         "seconds": time.perf_counter() - args.started,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
         **extra,
     }
-    primary = Path(outputs[0])
-    primary.with_suffix(primary.suffix + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n"
-    )
+    with avio.replacing_file(f"{outputs[0]}.manifest.json") as f:
+        f.write((json.dumps(manifest, indent=2) + "\n").encode())
 
 
 # -- subcommands --------------------------------------------------------------
@@ -131,7 +133,8 @@ def _cmd_train(args) -> int:
     inputs = [args.dataset, args.config]
     if args.model_config:
         inputs.append(args.model_config)
-    _write_manifest("train", args, inputs, [out, csv_path])
+    _write_manifest("train", args, inputs, [out, csv_path],
+                    model_config=asdict(mc), train_config=asdict(tc))
     print(f"trained {mc.kind} for {tc.steps} steps; "
           f"final loss {rep.losses[-1]:.6g} -> {out}")
     return 0
@@ -151,7 +154,7 @@ def _cmd_generate(args) -> int:
         generation.write_waveform_csv(audio, csv_path)
         outputs.append(csv_path)
     _write_manifest("generate", args, [args.checkpoint, args.dataset], outputs,
-                    real_time_factor=rtf)
+                    real_time_factor=rtf, model_config=asdict(model.config))
     print(f"generated {len(audio)} samples at {audio.sample_rate} Hz in "
           f"{wall:.3g} s (real-time factor {rtf:.3g}) -> {out}")
     return 0

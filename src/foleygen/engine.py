@@ -400,7 +400,10 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     for node in topo:
-        node.grad = np.zeros_like(node.data)
+        if node.grad is not None and node._backward is None:
+            node.grad.fill(0)       # a leaf; a model's grad is a view
+        else:
+            node.grad = np.zeros_like(node.data)
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         if node._backward is not None:

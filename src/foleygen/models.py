@@ -489,23 +489,29 @@ class Model:
 
     ``embed`` turns an (n, 3, H, W) video window into the frame context,
     once per frame; deep fusion has no embedder and keeps the raw video.
-    ``p`` gets ``precision`` here, once; the model's graphs then have it.
+    ``p`` is copied into ``flat`` at ``precision`` here, once; each tensor's
+    ``data`` and ``grad`` are views of ``flat`` and ``grad``, written in place.
     """
 
     def __init__(self, config: ModelConfig, p, precision: str):
         if precision not in _PRECISIONS:
             raise ParameterError(f"unknown precision {precision!r}")
         self.params = _named_tensors(p)
-        for t in self.params.values():
-            t.data = t.data.astype(_PRECISIONS[precision], copy=False)
-            t.grad = np.zeros_like(t.data)
+        ts = self.params.values()
+        self.flat = np.concatenate([t.data.ravel() for t in ts]).astype(
+            _PRECISIONS[precision], copy=False)
+        self.grad = np.zeros_like(self.flat)
+        cuts = np.cumsum([t.size for t in ts])[:-1]
+        for t, d, g in zip(ts, np.split(self.flat, cuts),
+                           np.split(self.grad, cuts)):
+            t.data, t.grad = d.reshape(t.shape), g.reshape(t.shape)
         self.config = config
         self.p = p
         self.embedder = getattr(p, "embedder", None)
 
     @property
     def dtype(self) -> np.dtype:
-        return next(iter(self.params.values())).data.dtype
+        return self.flat.dtype
 
     @property
     def mode(self) -> str:
@@ -522,7 +528,7 @@ class Model:
         return self.config.quantized
 
     def param_count(self) -> int:
-        return sum(t.data.size for t in self.params.values())
+        return self.flat.size
 
     def embed(self, video_ctx) -> Tensor:
         video = Tensor(np.asarray(video_ctx).transpose(1, 0, 2, 3),
@@ -645,7 +651,7 @@ def load_checkpoint(path, precision: str = "float64") -> Model:
             )
         if not np.isfinite(data).all():
             raise FormatError(f"{path}: tensor {name!r} holds NaN or inf")
-        t.data = data.reshape(t.data.shape).astype(t.data.dtype)
+        t.data[...] = data.reshape(t.data.shape)
     if pos != len(raw):
         raise FormatError(f"{path}: {len(raw) - pos} bytes after the last tensor")
     return model

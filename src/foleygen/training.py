@@ -22,6 +22,8 @@ from .models import JsonConfig, Model, quantize, save_checkpoint
 LOSS_KINDS = ("mse", "mae", "xent_bernoulli", "xent_paper_literal",
               "xent_categorical")
 _EPS = 1e-7
+# Adam's moment decay rates and denominator floor (Kingma & Ba, 2014)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def loss(kind: str, output: Tensor, target: np.ndarray) -> Tensor:
@@ -69,41 +71,39 @@ def loss(kind: str, output: Tensor, target: np.ndarray) -> Tensor:
 
 
 class Adam:
-    """Adaptive-moment estimation with optional global-norm gradient clip."""
+    """Adaptive-moment estimation with optional global-norm gradient clip,
+    in place on the model's ``flat`` and ``grad`` with two scratch arrays."""
 
-    def __init__(self, params: dict, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8,
+    def __init__(self, model: Model, lr: float = 1e-3,
                  clip_norm: float | None = 1.0):
-        self.params = params
-        self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.clip_norm = clip_norm
-        self.t = 0
-        self.m = {k: np.zeros_like(v.data) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v.data) for k, v in params.items()}
+        self.model, self.lr, self.clip_norm, self.t = model, lr, clip_norm, 0
+        self.m, self.v, self._a, self._b = (
+            np.zeros_like(model.flat) for _ in range(4))
 
     def zero_grad(self):
-        for p in self.params.values():
-            p.grad = np.zeros_like(p.data)
+        self.model.grad.fill(0)
 
     def step(self):
         self.t += 1
+        g, m, v, a, b = self.model.grad, self.m, self.v, self._a, self._b
         if self.clip_norm is not None:
+            # a sum of per-tensor sums; one flat sum would round differently
             total = np.sqrt(sum(float((p.grad ** 2).sum())
-                                for p in self.params.values()))
+                                for p in self.model.params.values()))
             if total > self.clip_norm:
                 # a numpy float64 scale would promote float32 to float64
-                scale = float(self.clip_norm / total)
-                for p in self.params.values():
-                    p.grad = p.grad * scale
-        b1, b2 = self.beta1, self.beta2
-        for k, p in self.params.items():
-            g = p.grad
-            self.m[k] = b1 * self.m[k] + (1 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
-            mhat = self.m[k] / (1 - b1 ** self.t)
-            vhat = self.v[k] / (1 - b2 ** self.t)
-            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+                g *= float(self.clip_norm / total)
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
+        # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
+        # p -= lr*mhat / (sqrt(vhat) + eps): each in that float order
+        m *= b1
+        m += np.multiply(g, 1 - b1, out=a)
+        v *= b2
+        v += np.multiply(np.multiply(g, 1 - b2, out=a), g, out=a)
+        np.multiply(np.divide(m, 1 - b1 ** self.t, out=a), self.lr, out=a)
+        np.sqrt(np.divide(v, 1 - b2 ** self.t, out=b), out=b)
+        b += ADAM_EPS
+        self.model.flat -= np.divide(a, b, out=a)
 
 
 # -- training loop ------------------------------------------------------------
@@ -160,7 +160,7 @@ def train(model: Model, dataset: Dataset, cfg: TrainConfig,
     if not train_frames:
         raise ContractError("train split is empty; lower train_fraction?")
     rng = np.random.default_rng(cfg.seed)
-    opt = Adam(model.params, lr=cfg.learning_rate, clip_norm=cfg.clip_norm)
+    opt = Adam(model, lr=cfg.learning_rate, clip_norm=cfg.clip_norm)
     report = TrainReport()
     spf = dataset.av.spf
     for step in range(cfg.steps):

@@ -1,4 +1,5 @@
 import json
+import resource
 import struct
 from pathlib import Path
 from xml.etree import ElementTree as ET
@@ -6,7 +7,7 @@ from xml.etree import ElementTree as ET
 import numpy as np
 import pytest
 
-from foleygen import __version__, cli, generation, training
+from foleygen import __version__, avio, cli, generation, training
 from foleygen.avio import AudioBuffer, load_dataset, load_wav
 from foleygen.errors import FormatError
 from foleygen.generation import write_wav, write_waveform_csv
@@ -15,6 +16,7 @@ from foleygen.models import build_model, load_checkpoint, save_checkpoint
 from conftest import (
     BAD_MODEL_SIZES,
     bad_size_id,
+    fail_on_nth_write,
     rewrite_config,
     save_with_both_front_ends,
     save_zero_size_dataset,
@@ -237,6 +239,42 @@ class TestCliPipeline:
         assert f" s (real-time factor {rtf:.3g}) -> " in out
         # 8 samples at 20 Hz last 0.4 s; generation is part of the command
         assert 0.4 / sides["generate"]["seconds"] <= rtf < float("inf")
+
+    def test_sidecars_record_configs_and_peak_rss(self, tmp_path):
+        ds_path, ckpt = run_pipeline(tmp_path)
+        wav = tmp_path / "out.wav"
+        assert cli.main(["generate", "--checkpoint", str(ckpt),
+                         "--dataset", str(ds_path), "--out", str(wav),
+                         "--frames", "1"]) == 0
+        sides = {command: json.loads(Path(f"{path}.manifest.json").read_text())
+                 for command, path in [("ingest", ds_path), ("train", ckpt),
+                                       ("generate", wav)]}
+        peak_now = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        for side in sides.values():
+            assert 0 < side["peak_rss_mb"] <= peak_now
+        saved = json.loads(load_checkpoint(ckpt).config.to_json())
+        assert sides["train"]["model_config"] == saved
+        assert sides["generate"]["model_config"] == saved
+        assert saved["wn_channels"] == TINY_WAVENET["wn_channels"]
+        assert sides["train"]["train_config"] == json.loads(
+            (tmp_path / "train.json").read_text())
+        assert "model_config" not in sides["ingest"]
+        assert "train_config" not in sides["generate"]
+
+    def test_failed_sidecar_write_keeps_the_previous_one(self, tmp_path,
+                                                         monkeypatch, capsys):
+        csv_path = TestPlotWaveform()._csv(tmp_path)
+        svg = tmp_path / "wave.svg"
+        argv = ["plot", "--csv", str(csv_path), "--spf", "4",
+                "--rate", "12", "--out", str(svg)]
+        assert cli.main(argv) == 0
+        side = Path(f"{svg}.manifest.json")
+        before, names = side.read_bytes(), sorted(tmp_path.iterdir())
+        fail_on_nth_write(monkeypatch, avio, 1)
+        assert cli.main(argv) == 1
+        assert "disk full" in capsys.readouterr().err
+        assert side.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == names
 
     @pytest.mark.parametrize("command,target", [
         ("generate", (generation, "generate")),

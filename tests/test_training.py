@@ -154,9 +154,8 @@ class TestTrainLoop:
         train(model, ds, self._config(steps=3, clip_norm=1e-6))
         (opt,) = opts
         for k, p in model.params.items():
-            dtypes = (p.data.dtype, p.grad.dtype, opt.m[k].dtype,
-                      opt.v[k].dtype)
-            assert dtypes == (np.float32,) * 4, k
+            assert (p.data.dtype, p.grad.dtype) == (np.float32,) * 2, k
+        assert (opt.m.dtype, opt.v.dtype) == (np.float32,) * 2
 
     def test_divergence_aborts(self):
         ds = make_dataset(frames=8, spf=4)
@@ -193,6 +192,93 @@ class TestTrainLoop:
         lines = p.read_text().strip().splitlines()
         assert lines[0] == "step,train_loss,val_loss"
         assert len(lines) == 4
+
+
+class ReferenceAdam:
+    """Adam as one loop over the named tensors, rebinding each ``data`` and
+    ``grad``: the float order the flat update must reproduce bit for bit."""
+
+    def __init__(self, params: dict, lr: float, clip_norm):
+        self.params, self.lr, self.clip_norm, self.t = params, lr, clip_norm, 0
+        self.m = {k: np.zeros_like(v.data) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v.data) for k, v in params.items()}
+
+    def step(self):
+        self.t += 1
+        if self.clip_norm is not None:
+            total = np.sqrt(sum(float((p.grad ** 2).sum())
+                                for p in self.params.values()))
+            if total > self.clip_norm:
+                scale = float(self.clip_norm / total)
+                for p in self.params.values():
+                    p.grad = p.grad * scale
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        for k, p in self.params.items():
+            g = p.grad
+            self.m[k] = b1 * self.m[k] + (1 - b1) * g
+            self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
+            mhat = self.m[k] / (1 - b1 ** self.t)
+            vhat = self.v[k] / (1 - b2 ** self.t)
+            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + eps)
+
+
+def _views_of_buffers(model) -> bool:
+    return all(np.shares_memory(t.data, model.flat)
+               and np.shares_memory(t.grad, model.grad)
+               for t in model.params.values())
+
+
+class TestFlatAdam:
+    KINDS = ["deep_fusion", "wavenet", "transformer"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("clip_norm,grad_scale,clips", [
+        (1.0, 10.0, True), (1e6, 1.0, False), (None, 10.0, False)])
+    def test_step_matches_per_tensor_loop(self, kind, precision, clip_norm,
+                                          grad_scale, clips):
+        model = build_model(tiny_config(kind), seed=3, precision=precision)
+        ref = {k: Tensor(t.data.copy(), dtype=t.data.dtype)
+               for k, t in model.params.items()}
+        opt = training.Adam(model, lr=1e-2, clip_norm=clip_norm)
+        ref_opt = ReferenceAdam(ref, lr=1e-2, clip_norm=clip_norm)
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            opt.zero_grad()
+            for k, t in model.params.items():
+                t.grad[...] = rng.standard_normal(t.shape) * grad_scale
+                ref[k].grad = t.grad.copy()
+            norm = np.sqrt(sum(float((p.grad ** 2).sum())
+                               for p in ref.values()))
+            assert (clip_norm is not None and norm > clip_norm) == clips
+            opt.step()
+            ref_opt.step()
+        for k, t in model.params.items():
+            assert t.data.dtype == ref[k].data.dtype == np.dtype(precision)
+            assert t.data.tobytes() == ref[k].data.tobytes(), k
+        assert _views_of_buffers(model)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_parameters_stay_views_of_the_buffers(self, tmp_path, kind,
+                                                  precision):
+        model = build_model(tiny_config(kind), seed=4, precision=precision)
+        assert _views_of_buffers(model)
+        assert model.flat.dtype == model.grad.dtype == np.dtype(precision)
+        assert model.flat.size == model.param_count() == sum(
+            t.data.size for t in model.params.values())
+        ds = make_dataset(frames=8, spf=4)
+        train(model, ds, TrainConfig(steps=2, clip_norm=1e-6))
+        assert _views_of_buffers(model)
+        w = training._window_for(model, ds, 2, 1)
+        backward(loss("mse", model.forward_window(w), w.target.T))
+        assert _views_of_buffers(model)
+        assert np.array_equal(model.grad, np.concatenate(
+            [t.grad.ravel() for t in model.params.values()]))
+        save_checkpoint(model, tmp_path / "m.bin")
+        loaded = load_checkpoint(tmp_path / "m.bin", precision=precision)
+        assert _views_of_buffers(loaded)
+        assert np.array_equal(loaded.flat, model.flat.astype("<f4"))
 
 
 class TestDefaultWavenetLearns:
