@@ -166,6 +166,20 @@ def load_wav(path) -> AudioBuffer:
 # -- raw-RGB clip manifest ---------------------------------------------------
 
 
+def _read_manifest(path, fields: tuple) -> dict:
+    """The JSON object at ``path``, which must hold every one of ``fields``."""
+    try:
+        meta = json.loads(read_input(path))
+    except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+        raise FormatError(f"{path}: unreadable manifest ({e})") from None
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: manifest must be a JSON object")
+    for field in fields:
+        if field not in meta:
+            raise FormatError(f"{path}: missing field {field!r}")
+    return meta
+
+
 def load_clip(manifest_path) -> VideoClip:
     """Read a clip manifest (JSON) and its raw RGB8 frame file.
 
@@ -174,15 +188,8 @@ def load_clip(manifest_path) -> VideoClip:
     manifest's directory.
     """
     mpath = Path(manifest_path)
-    try:
-        meta = json.loads(mpath.read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise FormatError(f"{manifest_path}: unreadable manifest ({e})") from e
-    if not isinstance(meta, dict):
-        raise FormatError(f"{manifest_path}: manifest must be a JSON object")
-    for field in ("frames_file", "width", "height", "frame_count", "frame_rate"):
-        if field not in meta:
-            raise FormatError(f"{manifest_path}: missing field {field!r}")
+    meta = _read_manifest(mpath, ("frames_file", "width", "height",
+                                  "frame_count", "frame_rate"))
     if not isinstance(meta["frames_file"], str):
         raise FormatError(f"{manifest_path}: frames_file must be a string")
     for field in ("width", "height", "frame_count", "frame_rate"):
@@ -413,14 +420,14 @@ def load_dataset(path) -> Dataset:
     frames = np.frombuffer(raw, dtype=np.uint8, count=frame_bytes,
                            offset=hsize + audio_bytes)
     frames = frames.reshape(F, 3, H, W).astype(np.float64) / 255.0
-    av = AlignedAV(
-        audio=AudioBuffer(samples=np.clip(audio, -1, 1), sample_rate=rate),
-        video=VideoClip(frames=frames, frame_rate=fps),
-        spf=spf,
-    )
     try:
+        av = AlignedAV(
+            audio=AudioBuffer(samples=audio, sample_rate=rate),
+            video=VideoClip(frames=frames, frame_rate=fps),
+            spf=spf,
+        )
         return Dataset(av=av, train_fraction=frac)
-    except ParameterError as e:
+    except (FormatError, ParameterError) as e:
         raise FormatError(f"{path}: {e}") from None
 
 
@@ -432,16 +439,8 @@ def ingest(paired_manifest_path, target_rate: int = 8820,
     relative to the manifest's directory.
     """
     mpath = Path(paired_manifest_path)
-    try:
-        meta = json.loads(mpath.read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise FormatError(f"{paired_manifest_path}: unreadable manifest ({e})") from e
-    if not isinstance(meta, dict):
-        raise FormatError(
-            f"{paired_manifest_path}: manifest must be a JSON object")
-    for field in ("clip_manifest", "wav_path", "train_fraction"):
-        if field not in meta:
-            raise FormatError(f"{paired_manifest_path}: missing field {field!r}")
+    meta = _read_manifest(mpath, ("clip_manifest", "wav_path",
+                                  "train_fraction"))
     for field in ("clip_manifest", "wav_path"):
         if not isinstance(meta[field], str):
             raise FormatError(

@@ -13,6 +13,7 @@ import math
 import struct
 import typing
 from dataclasses import asdict, dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -579,28 +580,26 @@ def build_model(config: ModelConfig, seed: int = 0,
 
 _CKPT_MAGIC = b"FGCK"
 # 2: tensors named by their path in the parameter tree; 3: only the
-# tensor elements that the forward pass reads
-_CKPT_VERSION = 3
+# tensor elements that the forward pass reads; 4: one tensor table and
+# ``model.flat`` as one payload
+_CKPT_VERSION = 4
+
+
+def _tensor_table(model: Model) -> list:
+    """``[name, shape]`` per tensor, in the order of ``model.flat``."""
+    return [[name, list(t.shape)] for name, t in model.params.items()]
 
 
 def save_checkpoint(model: Model, path) -> None:
-    """Binary checkpoint: magic, version, JSON config, float32 parameters."""
+    """Binary checkpoint: magic, version, JSON config, JSON tensor table,
+    then ``model.flat`` as little-endian float32."""
     cfg_bytes = model.config.to_json().encode()
+    table = json.dumps(_tensor_table(model)).encode()
     with replacing_file(path) as f:
-        f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<I", _CKPT_VERSION))
-        f.write(struct.pack("<I", len(cfg_bytes)))
-        f.write(cfg_bytes)
-        f.write(struct.pack("<I", len(model.params)))
-        for name in sorted(model.params):
-            t = model.params[name]
-            nb = name.encode()
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<B", t.data.ndim))
-            for dim in t.data.shape:
-                f.write(struct.pack("<I", dim))
-            f.write(t.data.astype("<f4").tobytes())
+        f.write(_CKPT_MAGIC + struct.pack("<II", _CKPT_VERSION, len(cfg_bytes))
+                + cfg_bytes)
+        f.write(struct.pack("<I", len(table)) + table)
+        f.write(model.flat.astype("<f4", copy=False))
 
 
 def load_checkpoint(path, precision: str = "float64") -> Model:
@@ -619,39 +618,37 @@ def load_checkpoint(path, precision: str = "float64") -> Model:
         pos += n
         return view[pos - n: pos]
 
-    def unpack(fmt: str) -> tuple:
-        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+    def block() -> bytes:
+        (n,) = struct.unpack("<I", take(4))
+        return bytes(take(n))
 
-    (version,) = unpack("<I")
+    (version,) = struct.unpack("<I", take(4))
     if version != _CKPT_VERSION:
         raise UnsupportedError(f"{path}: checkpoint version {version}")
-    (clen,) = unpack("<I")
     try:
-        config = ModelConfig.from_json(bytes(take(clen)))
+        config = ModelConfig.from_json(block())
     except (FormatError, ParameterError) as e:
         raise FormatError(f"{path}: unreadable model config: {e}") from None
     model = build_model(config, seed=0, precision=precision)
-    (n,) = unpack("<I")
-    if n != len(model.params):
-        raise FormatError(
-            f"{path}: {n} tensors in file, model expects {len(model.params)}"
-        )
-    for _ in range(n):
-        (nlen,) = unpack("<H")
-        name = bytes(take(nlen)).decode(errors="replace")
-        (ndim,) = unpack("<B")
-        shape = unpack(f"<{ndim}I")
-        data = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4")
-        if name not in model.params:
-            raise FormatError(f"{path}: unknown tensor {name!r}")
-        t = model.params[name]
-        if tuple(shape) != t.data.shape:
-            raise FormatError(
-                f"{path}: tensor {name!r} shape {shape} != {t.data.shape}"
-            )
-        if not np.isfinite(data).all():
-            raise FormatError(f"{path}: tensor {name!r} holds NaN or inf")
-        t.data[...] = data.reshape(t.data.shape)
-    if pos != len(raw):
-        raise FormatError(f"{path}: {len(raw) - pos} bytes after the last tensor")
+    try:
+        table = json.loads(block())
+    except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+        raise FormatError(f"{path}: unreadable tensor table: {e}") from None
+    expected = _tensor_table(model)
+    if table != expected:
+        rows = table if isinstance(table, list) else [table]
+        i, got, want = next(
+            (i, a, b) for i, (a, b) in enumerate(zip_longest(rows, expected))
+            if a != b)
+        raise FormatError(f"{path}: tensor table row {i} is {json.dumps(got)}, "
+                          f"model expects {json.dumps(want)}")
+    payload = view[pos:]
+    if len(payload) != 4 * model.flat.size:
+        raise FormatError(f"{path}: {len(payload)} payload bytes, model "
+                          f"expects {4 * model.flat.size}")
+    model.flat[...] = np.frombuffer(payload, dtype="<f4")
+    if not np.isfinite(model.flat).all():
+        name = next(name for name, t in model.params.items()
+                    if not np.isfinite(t.data).all())
+        raise FormatError(f"{path}: tensor {name!r} holds NaN or inf")
     return model

@@ -216,14 +216,16 @@ def evaluate(model: Model, dataset: Dataset, kind: str,
     Sample-mode models have one window per (frame, offset) pair;
     ``max_windows`` caps the count by striding deterministically.
     """
+    if max_windows is not None and max_windows < 1:
+        raise ParameterError(
+            f"max_windows must be at least 1, got {max_windows}")
     val_frames = list(dataset.val_frames())
     if not val_frames:
         raise ContractError("validation split is empty")
     offsets = range(0, dataset.av.spf, model.step_samples)
     pairs = [(f, off) for f in val_frames for off in offsets]
     if max_windows is not None and len(pairs) > max_windows:
-        stride = max(1, len(pairs) // max_windows)
-        pairs = pairs[::stride][:max_windows]
+        pairs = pairs[::len(pairs) // max_windows][:max_windows]
     total = 0.0
     with no_grad():
         for frame_index, offset in pairs:

@@ -1,5 +1,6 @@
 import builtins
 import json
+import math
 import struct
 
 import numpy as np
@@ -11,7 +12,6 @@ from foleygen.avio import (
     VideoClip,
     save_dataset,
 )
-from foleygen.engine import Tensor
 from foleygen.models import ModelConfig, build_model, save_checkpoint
 
 
@@ -79,19 +79,34 @@ def rewrite_config(path, fields: dict) -> None:
                      + raw[12 + clen:])
 
 
+def rewrite_table(path, edit) -> None:
+    """Replace the tensor table and payload of the checkpoint at ``path``
+    with ``edit(table, payload)``."""
+    raw = path.read_bytes()
+    (clen,) = struct.unpack_from("<I", raw, 8)
+    head = 12 + clen
+    (tlen,) = struct.unpack_from("<I", raw, head)
+    table, payload = edit(json.loads(raw[head + 4:head + 4 + tlen]),
+                          raw[head + 4 + tlen:])
+    text = json.dumps(table).encode()
+    path.write_bytes(raw[:head] + struct.pack("<I", len(text)) + text
+                     + payload)
+
+
 def save_with_both_front_ends(config: ModelConfig, path) -> None:
     """Save a transformer together with the token front-end its ctx_mode
-    does not read, as earlier versions built and saved both."""
-    model = build_model(config, seed=0)
+    does not read, as earlier versions built and saved both: its rows
+    follow the model's own in the table, its zeros follow the payload."""
+    save_checkpoint(build_model(config, seed=0), path)
     dm = config.d_model
     if config.ctx_mode == "strided_embed":
         unread = {"lift_w": (2, dm), "lift_b": (dm,)}
     else:
         unread = {f"strided.{i}": (dm, 2 if i == 0 else dm, 2)
                   for i in range(len(config.strided_schedule))}
-    for name, shape in unread.items():
-        model.params[name] = Tensor(np.zeros(shape))
-    save_checkpoint(model, path)
+    rewrite_table(path, lambda table, payload: (
+        table + [[name, list(shape)] for name, shape in unread.items()],
+        payload + bytes(4 * sum(math.prod(s) for s in unread.values()))))
 
 
 def make_dataset(frames=12, spf=4, h=4, w=4, fps=5, seed=0,

@@ -183,6 +183,12 @@ class TestLoadClip:
         with pytest.raises(FormatError):
             load_clip(m)
 
+    def test_non_utf8_manifest(self, tmp_path):
+        m = tmp_path / "clip.json"
+        m.write_bytes(b"\xff\xfe{")
+        with pytest.raises(FormatError, match="unreadable manifest"):
+            load_clip(m)
+
 
 class TestMissingInputFile:
     @pytest.mark.parametrize("load", [load_wav, load_dataset])
@@ -376,6 +382,18 @@ class TestDataset:
         with pytest.raises(FormatError):
             load_dataset(p)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, 3.5])
+    def test_out_of_range_audio_is_format_error(self, tmp_path, value):
+        # a saved sample lies in [-1, 1]; anything else is a corrupt file,
+        # not a value to clip
+        p = tmp_path / "ds.bin"
+        save_dataset(make_dataset(), p)
+        raw = bytearray(p.read_bytes())
+        struct.pack_into("<f", raw, struct.calcsize("<4sIIIIIIId") + 4, value)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=r"ds.bin: .*\[-1, 1\]"):
+            load_dataset(p)
+
     @pytest.mark.parametrize("axis", ["height", "width"])
     def test_zero_frame_size_is_format_error(self, tmp_path, axis):
         p = tmp_path / "ds.bin"
@@ -428,4 +446,10 @@ class TestIngest:
         paired = tmp_path / "pair.json"
         paired.write_text(json.dumps({"wav_path": "a.wav"}))
         with pytest.raises(FormatError, match="clip_manifest"):
+            ingest(paired)
+
+    def test_non_utf8_manifest(self, tmp_path):
+        paired = tmp_path / "pair.json"
+        paired.write_bytes(b"\xff\xfe{")
+        with pytest.raises(FormatError, match="unreadable manifest"):
             ingest(paired)

@@ -88,14 +88,18 @@ class TestLoadersRaiseOnlyTypedErrors:
         loads_or_refuses(load_wav, path)
 
     @FUZZ
-    @given(fields=st.fixed_dictionaries({}, optional={
-        k: json_values for k in ("width", "height", "frame_count",
-                                 "frame_rate", "frames_file")}),
+    @given(text=st.one_of(
+        st.fixed_dictionaries({}, optional={
+            k: json_values for k in ("width", "height", "frame_count",
+                                     "frame_rate", "frames_file")}).map(
+            lambda fields: json.dumps({"frames_file": "f.rgb", **fields})
+            .encode()),
+        st.binary(max_size=16)),
            n_bytes=st.integers(0, 120))
-    def test_load_clip(self, tmp_path, fields, n_bytes):
+    def test_load_clip(self, tmp_path, text, n_bytes):
         (tmp_path / "f.rgb").write_bytes(bytes(n_bytes))
         manifest = tmp_path / "clip.json"
-        manifest.write_text(json.dumps({"frames_file": "f.rgb", **fields}))
+        manifest.write_bytes(text)
         loads_or_refuses(load_clip, manifest)
 
     @FUZZ

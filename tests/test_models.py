@@ -45,6 +45,7 @@ from conftest import (
     fill_head,
     make_dataset,
     rewrite_config,
+    rewrite_table,
     save_with_both_front_ends,
     tiny_config,
 )
@@ -574,6 +575,49 @@ class TestCheckpoint:
                  for mm in (m, m2))
         npt.assert_array_equal(y, y2)
 
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_round_trip_is_the_float32_cast(self, tmp_path, kind, precision):
+        m = build_model(tiny_config(kind), seed=22, precision=precision)
+        m.flat[...] = np.random.default_rng(22).standard_normal(m.flat.size)
+        p = tmp_path / "ckpt.bin"
+        save_checkpoint(m, p)
+        # the payload is model.flat itself, as float32, after the table
+        assert p.read_bytes().endswith(m.flat.astype("<f4").tobytes())
+        m2 = load_checkpoint(p, precision=precision)
+        assert m2.flat.dtype == m.flat.dtype
+        npt.assert_array_equal(m2.flat, m.flat.astype("<f4"))
+
+    @pytest.mark.parametrize("edit", [
+        # the file names conv1 twice and leaves conv2 out
+        lambda t: [[n.replace("conv2", "conv1"), s] for n, s in t],
+        # conv1 and conv2 have one shape: only the names differ
+        lambda t: [t[0], t[2], t[1], *t[3:]],
+        lambda t: t[:-1],
+        lambda t: t + [["extra", [1]]],
+    ], ids=["duplicate", "swapped", "missing", "extra"])
+    def test_refuses_other_tensor_table(self, tmp_path, edit):
+        m = build_model(tiny_config("wavenet"), seed=3)
+        assert list(m.params)[1:3] == ["embedder.blocks.0.conv1",
+                                       "embedder.blocks.0.conv2"]
+        p = tmp_path / "ckpt.bin"
+        save_checkpoint(m, p)
+        rewrite_table(p, lambda table, payload: (edit(table), payload))
+        with pytest.raises(FormatError, match="tensor table row"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("text", [b"\xff\xfe[", b"[[", b""])
+    def test_refuses_unreadable_tensor_table(self, tmp_path, text):
+        p = tmp_path / "ckpt.bin"
+        save_checkpoint(build_model(tiny_config("wavenet"), seed=3), p)
+        raw = p.read_bytes()
+        head = 12 + struct.unpack_from("<I", raw, 8)[0]
+        tlen = struct.unpack_from("<I", raw, head)[0]
+        p.write_bytes(raw[:head] + struct.pack("<I", len(text)) + text
+                      + raw[head + 4 + tlen:])
+        with pytest.raises(FormatError, match="unreadable tensor table"):
+            load_checkpoint(p)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_refuses_non_finite_tensor(self, tmp_path, value):
         m = build_model(tiny_config("wavenet"), seed=0)
@@ -605,20 +649,22 @@ class TestCheckpoint:
 
     def test_version_2_refused(self, tmp_path):
         # version 2 stored elements that no output reads, e.g. a pos row
-        # per pos_table_len entry and the last fusion block's a2v
+        # per pos_table_len entry and the last fusion block's a2v; version
+        # 3 stored one record per tensor, sorted by name
         p = tmp_path / "ckpt.bin"
         save_checkpoint(build_model(tiny_config("deep_fusion"), seed=3), p)
         raw = p.read_bytes()
-        p.write_bytes(raw[:4] + struct.pack("<I", 2) + raw[8:])
-        with pytest.raises(UnsupportedError, match="version 2"):
-            load_checkpoint(p)
+        for version in (2, 3):
+            p.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
+            with pytest.raises(UnsupportedError, match=f"version {version}"):
+                load_checkpoint(p)
 
     @pytest.mark.parametrize("ctx_mode", ["strided_embed", "raw_short"])
     def test_file_with_unread_front_end_refused(self, tmp_path, ctx_mode):
         p = tmp_path / "ckpt.bin"
         save_with_both_front_ends(
             tiny_config("transformer", ctx_mode=ctx_mode), p)
-        with pytest.raises(FormatError, match="tensors in file"):
+        with pytest.raises(FormatError, match="tensor table row"):
             load_checkpoint(p)
 
     def test_truncated_file_rejected(self, tmp_path):
@@ -627,8 +673,8 @@ class TestCheckpoint:
         save_checkpoint(m, p)
         raw = p.read_bytes()
         clen = struct.unpack_from("<I", raw, 8)[0]
-        # inside the header, the config, the tensor count, the first
-        # tensor's name and shape, its data, and the very last byte
+        # inside the header, the config, the table length, the table,
+        # the payload, and the very last byte
         cuts = [0, 6, 10, 12, 12 + clen // 2, 12 + clen + 2, 12 + clen + 5,
                 12 + clen + 12, len(raw) // 2, len(raw) - 1]
         for cut in cuts:
@@ -648,7 +694,7 @@ class TestCheckpoint:
         p = tmp_path / "ckpt.bin"
         save_checkpoint(build_model(tiny_config("wavenet"), seed=3), p)
         before = p.read_bytes()
-        fail_on_nth_write(monkeypatch, avio, 8)
+        fail_on_nth_write(monkeypatch, avio, 3)    # the payload
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(build_model(tiny_config("wavenet"), seed=4), p)
         assert p.read_bytes() == before

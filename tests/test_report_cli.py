@@ -505,6 +505,30 @@ class TestCliPipeline:
         assert err.startswith("error: ") and "nope.bin" in err
         assert not (tmp_path / "out.wav").exists()
 
+    @pytest.mark.parametrize("max_windows", ["0", "-1"])
+    def test_eval_refuses_max_windows_below_one(self, tmp_path, capsys,
+                                                max_windows):
+        ds_path, ckpt = run_pipeline(tmp_path, steps=1)
+        capsys.readouterr()
+        assert cli.main(["eval", "--checkpoint", str(ckpt),
+                         "--dataset", str(ds_path),
+                         "--max-windows", max_windows]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "max_windows" in err
+
+    @pytest.mark.parametrize("name", ["pair.json", "clip.json"])
+    def test_ingest_non_utf8_manifest_exit_code(self, tmp_path, capsys,
+                                                name):
+        manifest = make_fixture(tmp_path)
+        (tmp_path / name).write_bytes(b"\xff\xfe{")
+        out = tmp_path / "ds.bin"
+        capsys.readouterr()
+        assert cli.main(["ingest", "--manifest", str(manifest),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "unreadable manifest" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("width", ["x", 0])
     def test_ingest_bad_clip_manifest_exit_code(self, tmp_path, capsys,
                                                 width):
@@ -554,14 +578,15 @@ class TestCliPipeline:
     def test_generate_refuses_version_2_checkpoint(self, tmp_path, capsys):
         ds_path, ckpt = run_pipeline(tmp_path, steps=1)
         raw = ckpt.read_bytes()
-        ckpt.write_bytes(raw[:4] + struct.pack("<I", 2) + raw[8:])
-        capsys.readouterr()
-        assert cli.main(["generate", "--checkpoint", str(ckpt),
-                         "--dataset", str(ds_path),
-                         "--out", str(tmp_path / "out.wav")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "version 2" in err
-        assert not (tmp_path / "out.wav").exists()
+        for version in (2, 3):
+            ckpt.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
+            capsys.readouterr()
+            assert cli.main(["generate", "--checkpoint", str(ckpt),
+                             "--dataset", str(ds_path),
+                             "--out", str(tmp_path / "out.wav")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and f"version {version}" in err
+            assert not (tmp_path / "out.wav").exists()
 
     def test_generate_refuses_non_finite_checkpoint(self, tmp_path, capsys):
         ds_path, ckpt = run_pipeline(tmp_path, steps=1)
@@ -606,7 +631,7 @@ class TestCliPipeline:
                          "--dataset", str(ds_path),
                          "--out", str(tmp_path / "out.wav")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "tensors in file" in err
+        assert err.startswith("error: ") and "tensor table row" in err
         assert not (tmp_path / "out.wav").exists()
 
     def test_selftest_passes(self):

@@ -321,6 +321,13 @@ class TestEvaluate:
         with pytest.raises(ContractError):
             evaluate(model, ds, "mse")
 
+    @pytest.mark.parametrize("max_windows", [0, -1])
+    def test_max_windows_below_one_refused(self, max_windows):
+        ds = make_dataset(frames=8, spf=4)
+        model = build_model(tiny_config("wavenet"), seed=7)
+        with pytest.raises(ParameterError, match="max_windows"):
+            evaluate(model, ds, "mse", max_windows=max_windows)
+
     def test_sequence_mode(self):
         ds = make_dataset(frames=8, spf=4)
         model = build_model(tiny_config("deep_fusion"), seed=10)
