@@ -104,11 +104,12 @@ class AlignedAV:
 
 @dataclass
 class ContextWindow:
-    """Zero-padded (audio context, video context, target) for one step."""
+    """Zero-padded (audio context, video context, target) for one step, or
+    for a batch of steps with a leading axis on each (``stack_windows``)."""
     audio_ctx: np.ndarray   # (A, 2)
     video_ctx: np.ndarray   # (n, 3, H, W)
     target: np.ndarray      # (2,) or (spf, 2)
-    frame_index: int
+    frame_index: int | tuple
 
 
 # -- WAV --------------------------------------------------------------------
@@ -314,6 +315,16 @@ def sample_window(d: AlignedAV, frame_index: int, audio_ctx_len: int,
         audio_ctx=left_context(d.audio.samples, pos, audio_ctx_len),
         video_ctx=left_context(d.video.frames, frame_index + 1, video_ctx_len),
         target=target, frame_index=frame_index)
+
+
+def stack_windows(windows) -> ContextWindow:
+    """One window whose arrays hold the given windows along a leading batch
+    axis, in order; ``frame_index`` is the tuple of their frame indices."""
+    return ContextWindow(
+        audio_ctx=np.stack([w.audio_ctx for w in windows]),
+        video_ctx=np.stack([w.video_ctx for w in windows]),
+        target=np.stack([w.target for w in windows]),
+        frame_index=tuple(w.frame_index for w in windows))
 
 
 def left_context(seq: np.ndarray, end: int, length: int) -> np.ndarray:

@@ -17,6 +17,10 @@ from .errors import ShapeError
 
 
 def _init(rng, *shape, scale=None):
+    """A fan-in scaled normal draw; zeros, drawing nothing, when rng is
+    None (a model whose parameters a checkpoint fills)."""
+    if rng is None:
+        return Tensor(np.zeros(shape), requires_grad=True)
     fan_in = int(np.prod(shape[1:])) if len(shape) > 1 else shape[0]
     s = scale if scale is not None else 1.0 / np.sqrt(max(fan_in, 1))
     return Tensor(rng.standard_normal(shape) * s, requires_grad=True)
@@ -77,50 +81,53 @@ def res_block_3d(x: Tensor, p: ResBlock3DParams) -> Tensor:
 
 
 def video_to_audio(v: Tensor, p: ProjectionParams) -> Tensor:
-    """(c_vid, H, W) or (c_vid, T, H, W) -> (c_aud, n_aud).
+    """(c_vid, H, W), (c_vid, T, H, W) or (B, c_vid, T, H, W)
+    -> (c_aud, n_aud), with B leading if v has it.
 
-    A 4-D input is mean-pooled over time first. Spatial dims are flattened
-    and mapped by the shared linear layer, then channels are mixed 1x1.
+    A time axis is mean-pooled first. Spatial dims are flattened and
+    mapped by the shared linear layer, then channels are mixed 1x1.
     """
-    if v.data.ndim == 4:
-        v = v.mean_axis(1)
-    if v.data.ndim != 3:
-        raise ShapeError(f"video_to_audio: expected 3-D or 4-D, got {v.shape}")
-    c, h, w = v.shape
+    if v.data.ndim not in (3, 4, 5):
+        raise ShapeError(f"video_to_audio: expected 3-D to 5-D, got {v.shape}")
+    h, w = v.shape[-2:]
     if h * w != p.w.shape[0]:
         raise ShapeError(
             f"video_to_audio: spatial size {h}x{w} does not match "
             f"projection input {p.w.shape[0]}"
         )
-    flat = v.reshape(c, h * w)
-    seq = linear(flat, p.w, p.b)            # (c, n_aud)
-    return conv1x1_channels(seq, p.mix)     # (c_aud, n_aud)
+    if v.data.ndim > 3:
+        v = v.mean_axis(-3)                             # (..., c, H, W)
+    flat = v.reshape(v.shape[:-2] + (h * w,))
+    seq = linear(flat, p.w, p.b)                        # (..., c, n_aud)
+    return conv1x1_channels(seq, p.mix, axis=-2)        # (..., c_aud, n_aud)
 
 
 def audio_to_video(a: Tensor, p: ProjectionParams, h: int, w: int) -> Tensor:
-    """(c_aud, n_aud) -> (c_vid, H, W) via linear n_aud -> H*W and 1x1 mix."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"audio_to_video: expected 2-D, got {a.shape}")
-    if a.shape[1] != p.w.shape[0]:
+    """(c_aud, n_aud) -> (c_vid, H, W) via linear n_aud -> H*W and 1x1 mix,
+    with B leading if a has it."""
+    if a.data.ndim not in (2, 3):
+        raise ShapeError(f"audio_to_video: expected 2-D or 3-D, got {a.shape}")
+    if a.shape[-1] != p.w.shape[0]:
         raise ShapeError(
-            f"audio_to_video: sequence length {a.shape[1]} does not match "
+            f"audio_to_video: sequence length {a.shape[-1]} does not match "
             f"projection input {p.w.shape[0]}"
         )
     if p.w.shape[1] != h * w:
         raise ShapeError(
             f"audio_to_video: projection output {p.w.shape[1]} != {h}x{w}"
         )
-    flat = linear(a, p.w, p.b)              # (c_aud, H*W)
-    mixed = conv1x1_channels(flat, p.mix)   # (c_vid, H*W)
-    return mixed.reshape(p.mix.shape[0], h, w)
+    flat = linear(a, p.w, p.b)                          # (..., c_aud, H*W)
+    mixed = conv1x1_channels(flat, p.mix, axis=-2)      # (..., c_vid, H*W)
+    return mixed.reshape(mixed.shape[:-1] + (h, w))
 
 
 def embed_video_context(frames: Tensor, p: VideoEmbedderParams) -> Tensor:
-    """(3, n, H, W) -> (2, n_aud): residual stack, time mean-pool, projection."""
-    if frames.data.ndim != 4:
-        raise ShapeError(f"embed_video_context: expected 4-D, got {frames.shape}")
-    x = conv1x1_channels(frames, p.entry)
+    """(3, n, H, W) -> (2, n_aud), with B leading if frames has it:
+    residual stack, time mean-pool, projection."""
+    if frames.data.ndim not in (4, 5):
+        raise ShapeError(
+            f"embed_video_context: expected 4-D or 5-D, got {frames.shape}")
+    x = conv1x1_channels(frames, p.entry, axis=-4)
     for blk in p.blocks:
         x = res_block_3d(x, blk)
-    pooled = x.mean_axis(1)                 # (c_int, H, W)
-    return video_to_audio(pooled, p.proj)
+    return video_to_audio(x, p.proj)

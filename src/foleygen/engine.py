@@ -1,8 +1,8 @@
 """Minimal reverse-mode autodiff engine on numpy arrays.
 
 The engine provides exactly the operations the audio/video generator
-architectures need: dense layers, 2-D and stacked (h, m, k) @ (h, k, n)
-matmuls, causal/strided/volumetric convolutions, the fused causal residual
+architectures need: dense layers, 2-D matmuls and stacks of them of any
+depth, causal/strided/volumetric convolutions, the fused causal residual
 layer ``h + relu(conv1d_causal(h))``, head-batched multi-head attention
 (optionally from the last n positions only), the usual pointwise
 nonlinearities, and a built-in central-finite-difference gradient checker.
@@ -10,7 +10,15 @@ nonlinearities, and a built-in central-finite-difference gradient checker.
 Design constraints:
   * no precision state: an op's result has its operands' dtype, and a
     tensor made from numpy is float64 unless another dtype is asked for
-  * no implicit broadcasting except bias addition inside ``linear``
+  * an optional leading batch axis: every op the models use also takes
+    its activation operands with one extra leading axis of B items, and
+    reads them by their trailing axes, so an unbatched call runs through
+    the same code. A weight is shared by the B items and its gradient is
+    the sum over them, as one GEMM over items x positions where the op
+    has one: a kernel, ``linear``'s ``W`` and ``b``, attention's
+    projections, a 2-D left operand of ``@`` with a stacked right one, or
+    a right operand of ``+`` that lacks the left one's batch axis. There
+    is no other implicit broadcasting
   * bit-deterministic: same inputs, same outputs
   * recording is scoped per thread: inside ``with no_grad():`` an op's
     result records no parents and no backward closure, so inference
@@ -117,14 +125,19 @@ class Tensor:
                     a.grad += g
                 out._backward = bw
             return out
-        self._check_same_shape(other, "add")
+        # other may lack self's leading batch axis: it is added to each item
+        shared = False
+        if self.data.shape != other.data.shape:
+            shared = other.data.shape == self.data.shape[1:]
+            if not shared:
+                self._check_same_shape(other, "add")
         out = Tensor._result(self.data + other.data, (self, other), None)
         if out.requires_grad:
             def bw(g, a=self, b=other):
                 if a.requires_grad:
                     a.grad += g
                 if b.requires_grad:
-                    b.grad += g
+                    b.grad += g.sum(0) if shared else g
             out._backward = bw
         return out
 
@@ -177,19 +190,25 @@ class Tensor:
         return out
 
     def __matmul__(self, other):
-        """(m, k) @ (k, n), or a stack of them: (h, m, k) @ (h, k, n)."""
+        """(m, k) @ (k, n), or a stack of them of any depth:
+        (..., m, k) @ (..., k, n) with the same leading axes. A 2-D left
+        operand (a weight) may also multiply every matrix of a stacked
+        right operand; its gradient is then the sum over the stack."""
         sa, sb = self.data.shape, other.data.shape
-        if len(sa) != len(sb) or len(sa) not in (2, 3):
+        shared = len(sa) == 2 and len(sb) > 2
+        if len(sb) < 2 or (len(sa) != len(sb) and not shared):
             raise ShapeError(
-                f"matmul expects two 2-D or two 3-D operands, got {sa} @ {sb}"
+                f"matmul expects two operands of one rank >= 2, or a 2-D "
+                f"left operand, got {sa} @ {sb}"
             )
-        if sa[-1] != sb[-2] or sa[:-2] != sb[:-2]:
+        if sa[-1] != sb[-2] or (not shared and sa[:-2] != sb[:-2]):
             raise ShapeError(f"matmul inner dimensions disagree: {sa} @ {sb}")
         out = Tensor._result(self.data @ other.data, (self, other), None)
         if out.requires_grad:
             def bw(g, a=self, b=other):
                 if a.requires_grad:
-                    a.grad += g @ b.data.swapaxes(-1, -2)
+                    a.grad += (_sum_outer(g, b.data) if shared
+                               else g @ b.data.swapaxes(-1, -2))
                 if b.requires_grad:
                     b.grad += a.data.swapaxes(-1, -2) @ g
             out._backward = bw
@@ -247,6 +266,12 @@ class Tensor:
     @property
     def T(self):
         return self.transpose()
+
+    @property
+    def mT(self):
+        """The last two axes swapped, as numpy's ``ndarray.mT``."""
+        n = self.data.ndim
+        return self.transpose(tuple(range(n - 2)) + (n - 1, n - 2))
 
     def __getitem__(self, key):
         out = Tensor._result(self.data[key], (self,), None)
@@ -413,27 +438,42 @@ def backward(loss: Tensor) -> None:
 # -- layers ------------------------------------------------------------------
 
 
-def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
-    """y = x W + b for x (n, d_in), W (d_in, d_out), b (d_out,): one tape node."""
-    if x.data.ndim != 2 or x.shape[1] != W.shape[0]:
+def linear(x: Tensor, W: Tensor, b: Tensor | None) -> Tensor:
+    """y = x W + b for x (n, d_in) or (B, n, d_in), W (d_in, d_out) and b
+    (d_out,) or None (no bias): one tape node. W's gradient is one GEMM
+    over the rows of every item."""
+    xd, wd = x.data, W.data
+    if xd.ndim not in (2, 3) or xd.shape[-1] != wd.shape[0]:
         raise ShapeError(
             f"linear: input shape {x.shape} does not match weight {W.shape}"
         )
-    if b.shape != (W.shape[1],):
+    if b is None:
+        y, parents = xd @ wd, (x, W)
+    elif b.data.shape != (wd.shape[1],):
         raise ShapeError(
             f"linear: bias shape {b.shape} does not match weight {W.shape}"
         )
-    out = Tensor._result(x.data @ W.data + b.data, (x, W, b), None)
+    else:
+        y, parents = xd @ wd + b.data, (x, W, b)
+    out = Tensor._result(y, parents, None)
     if out.requires_grad:
         def bw(g, x=x, W=W, b=b):
             if x.requires_grad:
                 x.grad += g @ W.data.T
+            g2 = g.reshape(-1, g.shape[-1])
             if W.requires_grad:
-                W.grad += x.data.T @ g
-            if b.requires_grad:
-                b.grad += g.sum(0)
+                W.grad += x.data.reshape(-1, W.data.shape[0]).T @ g2
+            if b is not None and b.requires_grad:
+                b.grad += g2.sum(0)
         out._backward = bw
     return out
+
+
+def _sum_outer(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Sum over items and positions of ``g x^T``: g (..., m, L) with x
+    (..., k, L) -> (m, k), as one GEMM with K = items * L."""
+    m, k = g.shape[-2], x.shape[-2]
+    return g.swapaxes(0, -2).reshape(m, -1) @ x.swapaxes(0, -2).reshape(k, -1).T
 
 
 def _check_causal(x: Tensor, kernel: Tensor, dilation, opname: str) -> range:
@@ -442,53 +482,54 @@ def _check_causal(x: Tensor, kernel: Tensor, dilation, opname: str) -> range:
     if not isinstance(dilation, int) or dilation < 1:
         raise ParameterError(f"dilation must be a positive int, got {dilation}")
     xs, ks = x.data.shape, kernel.data.shape
-    if len(xs) != 2 or len(ks) != 3:
+    if len(xs) not in (2, 3) or len(ks) != 3:
         raise ShapeError(
-            f"{opname}: x {xs} must be (ch_in,T), "
+            f"{opname}: x {xs} must be (ch_in,T) or (B,ch_in,T), "
             f"kernel {ks} must be (ch_out,ch_in,K)"
         )
-    if xs[0] != ks[1]:
+    if xs[-2] != ks[1]:
         raise ShapeError(f"{opname}: x channels {xs} vs kernel {ks}")
     if ks[2] < 1:
         raise ParameterError("kernel size must be >= 1")
-    return range(dilation, min(ks[2] * dilation, xs[1]), dilation)
+    return range(dilation, min(ks[2] * dilation, xs[-1]), dilation)
 
 
 def _causal_taps(w, xd, shifts) -> np.ndarray:
-    """Shift-and-GEMM: ``W[:, :, 0] @ x``, plus ``W[:, :, k] @ x[:, :T-s]``
-    added into ``y[:, s:]`` for tap k at shift s."""
-    T = xd.shape[1]
+    """Shift-and-GEMM: ``W[:, :, 0] @ x``, plus ``W[:, :, k] @ x[..., :T-s]``
+    added into ``y[..., s:]`` for tap k at shift s, per item."""
+    T = xd.shape[-1]
     y = w[:, :, 0] @ xd
     for k, s in enumerate(shifts, 1):
-        y[:, s:] += w[:, :, k] @ xd[:, :T - s]
+        y[..., s:] += w[:, :, k] @ xd[..., :T - s]
     return y
 
 
 def _causal_taps_backward(g, x: Tensor, xd, kernel: Tensor, shifts) -> None:
     """Add the kernel and input gradients of ``_causal_taps`` for output
     gradient g, over the same tap slices; xd is x's data at forward time."""
-    T = xd.shape[1]
+    T = xd.shape[-1]
     if kernel.requires_grad:
-        kernel.grad[:, :, 0] += g @ xd.T
+        kernel.grad[:, :, 0] += _sum_outer(g, xd)
         for k, s in enumerate(shifts, 1):
-            kernel.grad[:, :, k] += g[:, s:] @ xd[:, :T - s].T
+            kernel.grad[:, :, k] += _sum_outer(g[..., s:], xd[..., :T - s])
     if x.requires_grad:
         w = kernel.data
         gx = w[:, :, 0].T @ g
         for k, s in enumerate(shifts, 1):
-            gx[:, :T - s] += w[:, :, k].T @ g[:, s:]
+            gx[..., :T - s] += w[:, :, k].T @ g[..., s:]
         x.grad += gx
 
 
 def conv1d_causal(x: Tensor, kernel: Tensor, dilation: int = 1) -> Tensor:
     """Left-padded dilated convolution: output t sees x[.., t - d*k] only.
 
-    x: (ch_in, T), kernel: (ch_out, ch_in, K) -> (ch_out, T)
+    x: (ch_in, T) or (B, ch_in, T), kernel: (ch_out, ch_in, K)
+    -> (ch_out, T) or (B, ch_out, T)
 
     Shift-and-GEMM, with no padded copy of x: tap 0 is ``W[:, :, 0] @ x``
-    and tap k adds ``W[:, :, k] @ x[:, :T-k*d]`` into ``y[:, k*d:]``; the
-    backward pass uses the same slices. A tap with k*d >= T sees only the
-    zero padding and is skipped.
+    and tap k adds ``W[:, :, k] @ x[..., :T-k*d]`` into ``y[..., k*d:]``;
+    the backward pass uses the same slices. A tap with k*d >= T sees only
+    the zero padding and is skipped.
     """
     shifts = _check_causal(x, kernel, dilation, "conv1d_causal")
     xd = x.data
@@ -503,9 +544,10 @@ def conv1d_causal(x: Tensor, kernel: Tensor, dilation: int = 1) -> Tensor:
 def causal_residual(h: Tensor, kernel: Tensor, dilation: int) -> Tensor:
     """``h + relu(conv1d_causal(h, kernel, dilation))`` as one tape node.
 
-    h: (ch, T), kernel: (ch, ch, K) -> (ch, T). The values and every
-    gradient are bit for bit those of the op-by-op graph: the backward adds
-    g to h's gradient first, then the conv's input gradient of ``g * mask``.
+    h: (ch, T) or (B, ch, T), kernel: (ch, ch, K) -> h's shape. The values
+    and every gradient are bit for bit those of the op-by-op graph: the
+    backward adds g to h's gradient first, then the conv's input gradient
+    of ``g * mask``.
     """
     shifts = _check_causal(h, kernel, dilation, "causal_residual")
     ch_out, ch_in, _ = kernel.data.shape
@@ -531,31 +573,32 @@ def causal_residual(h: Tensor, kernel: Tensor, dilation: int) -> Tensor:
 def conv1d_strided(x: Tensor, kernel: Tensor, stride: int) -> Tensor:
     """Valid (unpadded) strided convolution used for audio token downsampling.
 
-    x: (ch_in, T), kernel: (ch_out, ch_in, K) -> (ch_out, (T-K)//stride + 1)
+    x: (ch_in, T) or (B, ch_in, T), kernel: (ch_out, ch_in, K)
+    -> (ch_out, (T-K)//stride + 1), with B leading if x has it
     """
     if not isinstance(stride, int) or stride < 1:
         raise ParameterError(f"stride must be a positive int, got {stride}")
     ch_out, ch_in, K = kernel.shape
-    if x.shape[0] != ch_in:
+    if x.data.ndim not in (2, 3) or x.shape[-2] != ch_in:
         raise ShapeError(
             f"conv1d_strided: x channels {x.shape} vs kernel {kernel.shape}"
         )
-    T = x.shape[1]
+    T = x.shape[-1]
     if T < K:
         raise ShapeError(f"conv1d_strided: input length {T} < kernel {K}")
     To = (T - K) // stride + 1
-    y = np.zeros((ch_out, To), dtype=x.data.dtype)
+    y = np.zeros(x.shape[:-2] + (ch_out, To), dtype=x.data.dtype)
     for k in range(K):
-        y += kernel.data[:, :, k] @ x.data[:, k: k + stride * To: stride]
+        y += kernel.data[:, :, k] @ x.data[..., k: k + stride * To: stride]
     out = Tensor._result(y, (x, kernel), None)
     if out.requires_grad:
         def bw(g, x=x, kernel=kernel, s=stride, K=K, To=To):
             for k in range(K):
                 sl = slice(k, k + s * To, s)
                 if kernel.requires_grad:
-                    kernel.grad[:, :, k] += g @ x.data[:, sl].T
+                    kernel.grad[:, :, k] += _sum_outer(g, x.data[..., sl])
                 if x.requires_grad:
-                    x.grad[:, sl] += kernel.data[:, :, k].T @ g
+                    x.grad[..., sl] += kernel.data[:, :, k].T @ g
         out._backward = bw
     return out
 
@@ -584,48 +627,68 @@ def _col_buffer(n: int, dt) -> np.ndarray:
 
 
 def _im2col_chunks(xp, ks, stride, out_shape):
-    """Yield (t0, t1, cols) covering output times [0, To) of a valid conv.
+    """Yield (b0, b1, t0, t1, cols) covering items [0, N) x output times
+    [0, To) of a valid conv over xp (N, ci, Tp, Hp, Wp).
 
-    ``cols`` is (ci*kt*kh*kw, (t1-t0)*Ho*Wo): row (c, a, b, d) holds
-    xp[c, a + st*t, b + sh*i, d + sw*j] for every output (t, i, j) of the
-    chunk, so ``kernel.reshape(co, -1) @ cols`` is the conv over the chunk.
-    Each chunk's column buffer stays within ``_COL_BUDGET_BYTES`` unless a
-    single output time step needs more.
+    ``cols`` is (ci*kt*kh*kw, (b1-b0)*(t1-t0)*Ho*Wo): row (c, a, b, d) holds
+    xp[n, c, a + st*t, b + sh*i, d + sw*j] for every output (n, t, i, j) of
+    the chunk, so ``kernel.reshape(co, -1) @ cols`` is the conv over the
+    chunk. A chunk holds whole items when one item's columns fit
+    ``_COL_BUDGET_BYTES``, and output time steps of one item otherwise; its
+    column buffer stays within the budget unless a single output time step
+    needs more.
     """
     st, sh, sw = stride
     To, Ho, Wo = out_shape
-    win = np.lib.stride_tricks.sliding_window_view(xp, ks, axis=(1, 2, 3))
-    # (ci, To, Ho, Wo, kt, kh, kw) -> (ci, kt, kh, kw, To, Ho, Wo)
-    win = win[:, ::st, ::sh, ::sw].transpose(0, 4, 5, 6, 1, 2, 3)
-    rows = xp.shape[0] * ks[0] * ks[1] * ks[2]
-    step = max(1, min(To, _COL_BUDGET_BYTES // (rows * Ho * Wo * xp.itemsize)))
-    buf = _col_buffer(rows * step * Ho * Wo, xp.dtype)
-    buf = buf.reshape(win.shape[:4] + (step, Ho, Wo))
-    for t0 in range(0, To, step):
-        t1 = min(To, t0 + step)
-        part = buf[:, :, :, :, : t1 - t0]
-        np.copyto(part, win[:, :, :, :, t0:t1])
-        yield t0, t1, part.reshape(rows, -1)
+    N, ci = xp.shape[:2]
+    sn, sc, s_t, s_h, s_w = xp.strides
+    # (ci, kt, kh, kw, N, To, Ho, Wo): tap (a, b, d) of output (n, t, i, j)
+    win = np.lib.stride_tricks.as_strided(
+        xp, (ci, *ks, N, To, Ho, Wo),
+        (sc, s_t, s_h, s_w, sn, st * s_t, sh * s_h, sw * s_w), writeable=False)
+    rows = ci * ks[0] * ks[1] * ks[2]
+    fit = max(1, _COL_BUDGET_BYTES // (rows * Ho * Wo * xp.itemsize))
+    if fit >= To:
+        nb = min(N, fit // To)
+        spans = [(b, min(N, b + nb), 0, To) for b in range(0, N, nb)]
+    else:
+        spans = [(b, b + 1, t, min(To, t + fit))
+                 for b in range(N) for t in range(0, To, fit)]
+    units = max((b1 - b0) * (t1 - t0) for b0, b1, t0, t1 in spans)
+    buf = _col_buffer(rows * units * Ho * Wo, xp.dtype)
+    for b0, b1, t0, t1 in spans:
+        shape = win.shape[:4] + (b1 - b0, t1 - t0, Ho, Wo)
+        part = buf[: math.prod(shape)].reshape(shape)
+        np.copyto(part, win[:, :, :, :, b0:b1, t0:t1])
+        yield b0, b1, t0, t1, part.reshape(rows, -1)
 
 
 def _conv3d_valid(xp, w2, ks, stride, out_shape):
-    """Unpadded cross-correlation of xp with w2 = kernel.reshape(co, -1)."""
+    """Unpadded cross-correlation of xp (N, ci, ...) with
+    w2 = kernel.reshape(co, -1): (N, co, To, Ho, Wo)."""
     To, Ho, Wo = out_shape
-    y = np.empty((w2.shape[0], To, Ho * Wo), dtype=w2.dtype)
-    for t0, t1, cols in _im2col_chunks(xp, ks, stride, out_shape):
-        np.matmul(w2, cols, out=y[:, t0:t1].reshape(w2.shape[0], -1))
-    return y.reshape(w2.shape[0], To, Ho, Wo)
+    co, N = w2.shape[0], xp.shape[0]
+    y = np.empty((N, co, To, Ho * Wo), dtype=w2.dtype)
+    for b0, b1, t0, t1, cols in _im2col_chunks(xp, ks, stride, out_shape):
+        # one GEMM per item of the chunk, written in place: a chunk is one
+        # item's time steps or whole items, so its slice of y reshapes to
+        # (items, co, columns) as a view
+        nb = b1 - b0
+        np.matmul(w2, cols.reshape(cols.shape[0], nb, -1).swapaxes(0, 1),
+                  out=y[b0:b1, :, t0:t1].reshape(nb, co, -1))
+    return y.reshape(N, co, To, Ho, Wo)
 
 
 def conv3d(x: Tensor, kernel: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
     """Volumetric cross-correlation.
 
-    x: (ch_in, T, H, W), kernel: (ch_out, ch_in, kT, kH, kW).
-    Output extent per dim: (dim + 2*pad - k)//stride + 1, which must be >= 1.
+    x: (ch_in, T, H, W) or (B, ch_in, T, H, W), kernel: (ch_out, ch_in, kT,
+    kH, kW). Output extent per dim: (dim + 2*pad - k)//stride + 1, which
+    must be >= 1.
 
     Computed as im2col GEMMs (Chellapilla et al., 2006). With xp the
-    zero-padded input and cols(xp) its (ci*kT*kH*kW, To*Ho*Wo) column
-    matrix (rows ordered channel, then tap; columns ordered t, h, w):
+    zero-padded input and cols(xp) its (ci*kT*kH*kW, B*To*Ho*Wo) column
+    matrix (rows ordered channel, then tap; columns ordered item, t, h, w):
 
       * forward:         y  = kernel.reshape(co, -1) @ cols(xp)
       * kernel gradient: gk = g.reshape(co, -1) @ cols(xp).T, with the
@@ -636,22 +699,23 @@ def conv3d(x: Tensor, kernel: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Te
         evaluated over the unpadded input range through the same columns.
 
     The column buffer is bounded: it is built in one piece when the whole
-    output volume fits ``_COL_BUDGET_BYTES`` (4 MiB) and is split along
-    output time otherwise. A full-volume buffer at paper size (16 MB per
-    call at 8 ch x 4 x 36 x 64) raised the peak RSS of the paper-size
-    wavenet and deep-fusion benchmark workloads by 11-12%; split per output
-    time step, it costs them 1.5-1.7%.
+    batch fits ``_COL_BUDGET_BYTES`` (4 MiB), in runs of whole items when
+    one item fits, and split along each item's output time otherwise. A
+    full-volume buffer at paper size (16 MB per item at 8 ch x 4 x 36 x 64)
+    raised the peak RSS of the paper-size wavenet and deep-fusion benchmark
+    workloads by 11-12%; split per output time step, it costs them 1.5-1.7%.
     """
-    if x.data.ndim != 4 or kernel.data.ndim != 5:
+    if x.data.ndim not in (4, 5) or kernel.data.ndim != 5:
         raise ShapeError(
-            f"conv3d: x {x.shape} must be 4-D, kernel {kernel.shape} must be 5-D"
+            f"conv3d: x {x.shape} must be 4-D or 5-D, kernel {kernel.shape} "
+            "must be 5-D"
         )
     co, ci, kt, kh, kw = kernel.shape
-    if x.shape[0] != ci:
+    if x.shape[-4] != ci:
         raise ShapeError(f"conv3d: x channels {x.shape} vs kernel {kernel.shape}")
     st, sh, sw = stride
     pt, ph, pw = padding
-    T, H, W = x.shape[1:]
+    T, H, W = x.shape[-3:]
     ks = (kt, kh, kw)
     outs = []
     for dim, k, s, p in zip((T, H, W), ks, stride, padding):
@@ -663,47 +727,59 @@ def conv3d(x: Tensor, kernel: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Te
             )
         outs.append(o)
     To, Ho, Wo = outs
-    xp = np.pad(x.data, ((0, 0), (pt, pt), (ph, ph), (pw, pw)))
+    x5 = x.data.reshape((-1,) + x.shape[-4:])
+    N = x5.shape[0]
+    xp = np.zeros((N, ci, T + 2 * pt, H + 2 * ph, W + 2 * pw), dtype=x5.dtype)
+    xp[:, :, pt: pt + T, ph: ph + H, pw: pw + W] = x5
     y = _conv3d_valid(xp, kernel.data.reshape(co, -1), ks, stride, outs)
-    out = Tensor._result(y, (x, kernel), None)
+    out = Tensor._result(y.reshape(x.shape[:-4] + y.shape[1:]), (x, kernel),
+                         None)
     if out.requires_grad:
         def bw(g, x=x, kernel=kernel, xp=xp):
             if kernel.requires_grad:
-                g3 = g.reshape(co, To, Ho * Wo)
+                # (co, N, To, Ho*Wo), the column order of the chunks
+                g4 = g.reshape(N, co, To, Ho * Wo).transpose(1, 0, 2, 3)
                 gk = np.zeros((co, ci * kt * kh * kw), dtype=g.dtype)
-                for t0, t1, cols in _im2col_chunks(xp, ks, stride, outs):
-                    gk += g3[:, t0:t1].reshape(co, -1) @ cols.T
+                for b0, b1, t0, t1, cols in _im2col_chunks(xp, ks, stride, outs):
+                    gk += g4[:, b0:b1, t0:t1].reshape(co, -1) @ cols.T
                 kernel.grad += gk.reshape(kernel.shape)
             if x.requires_grad:
                 # g dilated by the stride and padded by k-1: output i sits at
                 # k-1 + s*i. Its window from the padding offset on lines up
                 # with x, so a valid correlation over it yields x's gradient.
-                gd = np.zeros((co, T + 2 * pt + kt - 1, H + 2 * ph + kh - 1,
+                gd = np.zeros((N, co, T + 2 * pt + kt - 1, H + 2 * ph + kh - 1,
                                W + 2 * pw + kw - 1), dtype=g.dtype)
-                gd[:, kt - 1: kt - 1 + st * To: st,
+                gd[:, :, kt - 1: kt - 1 + st * To: st,
                    kh - 1: kh - 1 + sh * Ho: sh,
-                   kw - 1: kw - 1 + sw * Wo: sw] = g
-                gd = gd[:, pt: pt + T + kt - 1, ph: ph + H + kh - 1,
+                   kw - 1: kw - 1 + sw * Wo: sw] = g.reshape(N, co, To, Ho, Wo)
+                gd = gd[:, :, pt: pt + T + kt - 1, ph: ph + H + kh - 1,
                         pw: pw + W + kw - 1]
                 wf = kernel.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-                x.grad += _conv3d_valid(gd, wf.reshape(ci, -1), ks,
-                                        (1, 1, 1), (T, H, W))
+                x.grad += _conv3d_valid(gd, wf.reshape(ci, -1), ks, (1, 1, 1),
+                                        (T, H, W)).reshape(x.shape)
         out._backward = bw
     return out
 
 
-def conv1x1_channels(x: Tensor, kernel: Tensor) -> Tensor:
-    """Per-position channel mixing: (ch_in, ...) x (ch_out, ch_in) -> (ch_out, ...)."""
+def conv1x1_channels(x: Tensor, kernel: Tensor, axis: int = 0) -> Tensor:
+    """Per-position channel mixing:
+    (..., ch_in, ...) x (ch_out, ch_in) -> (..., ch_out, ...).
+
+    ``axis`` is x's channel axis. The axes before it are batch axes and the
+    axes after it positions; a negative ``axis`` counts from the end, so
+    one call takes x with or without a leading batch axis.
+    """
     if kernel.data.ndim != 2:
         raise ShapeError(f"conv1x1: kernel {kernel.shape} must be (ch_out, ch_in)")
-    if x.shape[0] != kernel.shape[1]:
+    shape = x.shape
+    co, ci = kernel.shape
+    if not -len(shape) <= axis < len(shape) or shape[axis] != ci:
         raise ShapeError(
-            f"conv1x1: x channels {x.shape} vs kernel {kernel.shape}"
+            f"conv1x1: x channels {x.shape} on axis {axis} vs kernel {kernel.shape}"
         )
-    rest = x.shape[1:]
-    x2 = x.reshape(x.shape[0], -1)
-    y2 = kernel @ x2
-    return y2.reshape(kernel.shape[0], *rest)
+    axis %= len(shape)
+    x3 = x.reshape(math.prod(shape[:axis]), ci, -1)
+    return (kernel @ x3).reshape(shape[:axis] + (co,) + shape[axis + 1:])
 
 
 @dataclass
@@ -726,17 +802,23 @@ class AttentionParams:
 def multi_head_attention(x: Tensor, params: AttentionParams,
                          causal_mask: bool = False,
                          last_n: int | None = None) -> Tensor:
-    """Scaled dot-product attention over (T, d_model) with optional causal mask.
+    """Scaled dot-product attention over (T, d_model) or (B, T, d_model),
+    with optional causal mask.
 
-    All heads at once: q, k and v are viewed as (heads, T, d_head) stacks,
-    so each product is one stacked matmul and the softmax runs once.
+    All heads at once: q, k and v are viewed as (heads, T, d_head) stacks
+    per item, so each product is one stacked matmul and the softmax runs
+    once.
 
     With ``last_n``, only the last ``last_n`` positions attend (to every
     key up to their own position under the causal mask) and the result is
-    (last_n, d_model): the last rows of the full result. Keys and values
-    still come from all T positions.
+    (last_n, d_model) per item: the last rows of the full result. Keys and
+    values still come from all T positions.
     """
-    T, d_model = x.shape
+    if x.data.ndim not in (2, 3):
+        raise ShapeError(
+            f"attention: x {x.shape} must be (T, d_model) or (B, T, d_model)")
+    lead = x.shape[:-2]
+    T, d_model = x.shape[-2:]
     h = params.heads
     if d_model % h != 0:
         raise ParameterError(
@@ -746,18 +828,24 @@ def multi_head_attention(x: Tensor, params: AttentionParams,
     if not 1 <= n <= T:
         raise ParameterError(f"last_n must be in [1, {T}], got {last_n}")
     dh = d_model // h
-    xq = x if n == T else x[T - n:]
-    q = linear(xq, params.wq, params.bq).reshape(n, h, dh).transpose((1, 0, 2))
-    k = (x @ params.wk).reshape(T, h, dh).transpose((1, 2, 0))
-    v = linear(x, params.wv, params.bv).reshape(T, h, dh).transpose((1, 0, 2))
-    scores = (q @ k) * (1.0 / math.sqrt(dh))                # (h, n, T)
+    # the item axes stay in front; (T, h, dh) becomes (h, T, dh) behind them
+    b = len(lead)
+    heads_first = tuple(range(b)) + (b + 1, b, b + 2)
+    xq = x if n == T else x[..., T - n:, :]
+    q = linear(xq, params.wq, params.bq).reshape(lead + (n, h, dh))
+    q = q.transpose(heads_first)
+    k = linear(x, params.wk, None).reshape(lead + (T, h, dh))
+    k = k.transpose(tuple(range(b)) + (b + 1, b + 2, b))
+    v = linear(x, params.wv, params.bv).reshape(lead + (T, h, dh))
+    v = v.transpose(heads_first)
+    scores = (q @ k) * (1.0 / math.sqrt(dh))            # (..., h, n, T)
     # query i sits at position T-n+i; with n == 1 nothing lies ahead of it
     if causal_mask and n > 1:
         mask = np.triu(np.full((n, T), -1e30, dtype=x.data.dtype), k=T - n + 1)
         scores = scores + Tensor(np.broadcast_to(mask, scores.shape),
                                  dtype=mask.dtype)
     att = scores.softmax_lastdim()
-    merged = (att @ v).transpose((1, 0, 2)).reshape(n, d_model)
+    merged = (att @ v).transpose(heads_first).reshape(lead + (n, d_model))
     return linear(merged, params.wo, params.bo)
 
 

@@ -271,16 +271,17 @@ def deep_fusion_forward(audio_ctx: Tensor, video_ctx: Tensor,
                         params: DeepFusionParams) -> Tensor:
     """Parallel audio/video residual towers with gated cross-injection.
 
-    audio_ctx: (2, A), video_ctx: (3, n, H, W) -> (2, spf) in [-1, 1].
+    audio_ctx: (2, A), video_ctx: (3, n, H, W) -> (2, spf) in [-1, 1]; or
+    the same with a leading batch axis B on all three.
     """
-    if audio_ctx.data.ndim != 2 or audio_ctx.shape[0] != 2:
+    if audio_ctx.data.ndim not in (2, 3) or audio_ctx.shape[-2] != 2:
         raise ShapeError(f"deep_fusion: audio context {audio_ctx.shape}")
-    if video_ctx.data.ndim != 4 or video_ctx.shape[0] != 3:
+    if (video_ctx.data.ndim != audio_ctx.data.ndim + 2
+            or video_ctx.shape[-4] != 3):
         raise ShapeError(f"deep_fusion: video context {video_ctx.shape}")
-    n = video_ctx.shape[1]
-    h, w = video_ctx.shape[2], video_ctx.shape[3]
+    n, h, w = video_ctx.shape[-3:]
     audio = audio_ctx
-    video = conv1x1_channels(video_ctx, params.entry)
+    video = conv1x1_channels(video_ctx, params.entry, axis=-4)
     for blk in params.blocks:
         audio_b = (conv1d_causal(audio, blk.audio_kernel, 1) + audio).relu()
         video_b = res_block_3d(video, blk.video_block)
@@ -289,7 +290,7 @@ def deep_fusion_forward(audio_ctx: Tensor, video_ctx: Tensor,
         if blk.a2v is None:
             break
         inject = audio_to_video(audio_b, blk.a2v, h, w)
-        video = video_b + scalar_scale(expand_axis(inject, 1, n), blk.gate_va)
+        video = video_b + scalar_scale(expand_axis(inject, -3, n), blk.gate_va)
     return linear(audio, params.head_w, params.head_b).tanh()
 
 
@@ -342,7 +343,8 @@ def wavenet_receptive_field(cfg: ModelConfig) -> int:
 
 def wavenet_forward(audio_ctx: Tensor, video_embed: Tensor,
                     params: WavenetParams) -> Tensor:
-    """Dilated causal stack over audio+video sum; returns the last column (2,)."""
+    """Dilated causal stack over audio+video sum (2, A), or (B, 2, A);
+    returns the last column (2,), or (B, 2)."""
     if audio_ctx.shape != video_embed.shape:
         raise ShapeError(
             f"wavenet: audio context {audio_ctx.shape} and video embedding "
@@ -352,10 +354,10 @@ def wavenet_forward(audio_ctx: Tensor, video_embed: Tensor,
     h = conv1d_causal(x, params.entry, 1)
     for kernel, d in params.blocks:
         h = causal_residual(h, kernel, d)
-    T = h.shape[1]
-    y = conv1x1_channels(h, params.head_mix)
+    T = h.shape[-1]
+    y = conv1x1_channels(h, params.head_mix, axis=-2)
     y = (y + expand_axis(params.head_b, 1, T)).tanh()
-    return y[:, T - 1]
+    return y[..., T - 1]
 
 
 # -- transformer --------------------------------------------------------------
@@ -430,22 +432,24 @@ def transformer_forward(audio_ctx: Tensor, video_embed: Tensor,
                         quantized: bool = False) -> Tensor:
     """Causal attention over audio+video tokens; emits the next sample.
 
-    Returns (2,) in [-1, 1], or (2, 256) logits when quantized.
+    Takes (2, A) contexts and returns (2,) in [-1, 1], or (2, 256) logits
+    when quantized; with a leading batch axis B on the contexts, the
+    result has it too.
     """
     if audio_ctx.shape != video_embed.shape:
         raise ShapeError(
             f"transformer: audio context {audio_ctx.shape} and video "
             f"embedding {video_embed.shape} must match"
         )
-    x = audio_ctx + video_embed                       # (2, A)
+    x = audio_ctx + video_embed                       # (..., 2, A)
     if params.lift_w is None:                         # strided_embed
         h = x
         for kernel in params.strided:
             h = conv1d_strided(h, kernel, 2).relu()
-        tokens = h.T                                  # (T_tok, d_model)
+        tokens = h.mT                                 # (..., T_tok, d_model)
     else:                                             # raw_short
-        tokens = linear(x.T, params.lift_w, params.lift_b)
-    t_tok = tokens.shape[0]
+        tokens = linear(x.mT, params.lift_w, params.lift_b)
+    t_tok = tokens.shape[-2]
     tokens = tokens + params.pos
     # Only the last token is emitted. The final block attends from it alone,
     # so its residual, feed-forward and the decoder run on one row; earlier
@@ -454,15 +458,17 @@ def transformer_forward(audio_ctx: Tensor, video_embed: Tensor,
     for i, blk in enumerate(params.blocks):
         n = 1 if i == final else None
         att = multi_head_attention(tokens, blk.attn, causal_mask=True, last_n=n)
-        tokens = (tokens if n is None else tokens[t_tok - 1:]) + att
+        tokens = (tokens if n is None else tokens[..., t_tok - 1:, :]) + att
         ff = linear(linear(tokens, blk.ff_w1, blk.ff_b1).relu(),
                     blk.ff_w2, blk.ff_b2)
         tokens = tokens + ff
-    # after a final block this is already the one row (1, d_model)
-    dec = linear(tokens[tokens.shape[0] - 1:], params.dec_w, params.dec_b)
+    # after a final block this is already the one row (..., 1, d_model)
+    dec = linear(tokens[..., tokens.shape[-2] - 1:, :], params.dec_w,
+                 params.dec_b)
+    lead = dec.shape[:-2]
     if quantized:
-        return dec.reshape(2, 256)
-    return dec.reshape(2).tanh()
+        return dec.reshape(lead + (2, 256))
+    return dec.reshape(lead + (2,)).tanh()
 
 
 # -- model wrappers -----------------------------------------------------------
@@ -490,6 +496,11 @@ class Model:
 
     ``embed`` turns an (n, 3, H, W) video window into the frame context,
     once per frame; deep fusion has no embedder and keeps the raw video.
+    Every array may carry a leading batch axis of B windows: ``embed``
+    takes (B, n, 3, H, W), and ``forward_core`` takes (B, 2, A) audio with
+    a (B, ...) frame context and returns (B, 2), (B, 2, spf) or
+    (B, 2, 256). Training runs a stacked batch as one graph; generation
+    and evaluation run one window at a time through the same code.
     ``p`` is copied into ``flat`` at ``precision`` here, once; each tensor's
     ``data`` and ``grad`` are views of ``flat`` and ``grad``, written in place.
     """
@@ -532,7 +543,8 @@ class Model:
         return self.flat.size
 
     def embed(self, video_ctx) -> Tensor:
-        video = Tensor(np.asarray(video_ctx).transpose(1, 0, 2, 3),
+        # (..., n, 3, H, W) -> (..., 3, n, H, W)
+        video = Tensor(np.asarray(video_ctx).swapaxes(-4, -3),
                        dtype=self.dtype)
         if self.embedder is None:
             return video
@@ -542,7 +554,10 @@ class Model:
         raise NotImplementedError
 
     def forward_window(self, window) -> Tensor:
-        audio = Tensor(np.asarray(window.audio_ctx).T,  # (A, 2) -> (2, A)
+        """The step for one window, or for a stacked batch of windows
+        (``avio.stack_windows``)."""
+        # (..., A, 2) -> (..., 2, A)
+        audio = Tensor(np.asarray(window.audio_ctx).swapaxes(-1, -2),
                        dtype=self.dtype)
         return self.forward_core(audio, self.embed(window.video_ctx))
 
@@ -570,10 +585,15 @@ _ARCHITECTURES = {  # kind -> (model class, parameter builder)
 }
 
 
+def _build(config: ModelConfig, rng, precision: str) -> Model:
+    """The model of ``config``; every parameter zero when rng is None."""
+    cls, build = _ARCHITECTURES[config.kind]
+    return cls(config, build(config, rng), precision)
+
+
 def build_model(config: ModelConfig, seed: int = 0,
                 precision: str = "float64") -> Model:
-    cls, build = _ARCHITECTURES[config.kind]
-    return cls(config, build(config, np.random.default_rng(seed)), precision)
+    return _build(config, np.random.default_rng(seed), precision)
 
 
 # -- checkpoints --------------------------------------------------------------
@@ -629,7 +649,8 @@ def load_checkpoint(path, precision: str = "float64") -> Model:
         config = ModelConfig.from_json(block())
     except (FormatError, ParameterError) as e:
         raise FormatError(f"{path}: unreadable model config: {e}") from None
-    model = build_model(config, seed=0, precision=precision)
+    # the payload overwrites every element, so nothing is drawn for them
+    model = _build(config, None, precision)
     try:
         table = json.loads(block())
     except ValueError as e:  # JSONDecodeError or UnicodeDecodeError

@@ -49,28 +49,33 @@ def _gradient_suite(rng) -> list:
     if err >= 1e-3:
         failures.append(f"causal_residual grad error {err:.2e}")
 
-    x = Tensor(rng.uniform(-2, 2, (2, 3, 4, 4)), requires_grad=True)
-    k = Tensor(rng.uniform(-2, 2, (2, 2, 2, 2, 2)), requires_grad=True)
-    err = grad_check(lambda x, k: conv3d(x, k, (1, 2, 2), (0, 1, 1)).sum(),
-                     [x, k])
-    if err >= 1e-4:
-        failures.append(f"conv3d grad error {err:.2e}")
+    # conv3d and attention also with a leading batch axis of 2 items
+    for batch in ((), (2,)):
+        x = Tensor(rng.uniform(-2, 2, batch + (2, 3, 4, 4)), requires_grad=True)
+        k = Tensor(rng.uniform(-2, 2, (2, 2, 2, 2, 2)), requires_grad=True)
+        err = grad_check(
+            lambda x, k: (conv3d(x, k, (1, 2, 2), (0, 1, 1)) ** 2).sum(),
+            [x, k])
+        if err >= 1e-4:
+            failures.append(f"conv3d grad error {err:.2e} at batch {batch}")
 
-    d, h = 4, 2
-    ap = AttentionParams(
-        *(Tensor(rng.uniform(-1, 1, (d, d)), requires_grad=True)
-          for _ in range(4)),
-        *(Tensor(rng.uniform(-1, 1, d), requires_grad=True) for _ in range(3)),
-        heads=h,
-    )
-    x = Tensor(rng.uniform(-1, 1, (3, d)), requires_grad=True)
-    inputs = [t for name, t in vars(ap).items() if name != "heads"]
-    err = grad_check(
-        lambda x, *ts: multi_head_attention(x, ap, causal_mask=True).sum(),
-        [x, *inputs],
-    )
-    if err >= 1e-4:
-        failures.append(f"attention grad error {err:.2e}")
+        d, h = 4, 2
+        ap = AttentionParams(
+            *(Tensor(rng.uniform(-1, 1, (d, d)), requires_grad=True)
+              for _ in range(4)),
+            *(Tensor(rng.uniform(-1, 1, d), requires_grad=True)
+              for _ in range(3)),
+            heads=h,
+        )
+        x = Tensor(rng.uniform(-1, 1, batch + (3, d)), requires_grad=True)
+        inputs = [t for name, t in vars(ap).items() if name != "heads"]
+        err = grad_check(
+            lambda x, *ts: (multi_head_attention(x, ap, causal_mask=True)
+                            ** 2).sum(),
+            [x, *inputs],
+        )
+        if err >= 1e-4:
+            failures.append(f"attention grad error {err:.2e} at batch {batch}")
     return failures
 
 
@@ -80,22 +85,25 @@ def _causality_suite(rng) -> list:
     model = build_model(cfg, seed=1)
     rf = wavenet_receptive_field(cfg)
     A = cfg.audio_ctx_len
-    base = rng.uniform(-0.5, 0.5, (2, A))
-    embed = Tensor(rng.uniform(-0.5, 0.5, (2, A)))
+    # a batch of two windows: only the first item is perturbed
+    base = rng.uniform(-0.5, 0.5, (2, 2, A))
+    embed = Tensor(rng.uniform(-0.5, 0.5, (2, 2, A)))
     y0 = model.forward_core(Tensor(base), embed).data
     # beyond the receptive field: exactly zero effect
     pert = base.copy()
-    pert[:, 0] += 0.7
+    pert[0, :, 0] += 0.7
     if A - 1 >= rf:
         y1 = model.forward_core(Tensor(pert), embed).data
         if not np.array_equal(y0, y1):
             failures.append("wavenet output changed outside receptive field")
-    # inside: must change
+    # inside: must change, and only in the perturbed item
     pert = base.copy()
-    pert[:, -1] += 0.7
+    pert[0, :, -1] += 0.7
     y2 = model.forward_core(Tensor(pert), embed).data
-    if np.array_equal(y0, y2):
+    if np.array_equal(y0[0], y2[0]):
         failures.append("wavenet output ignored an in-field perturbation")
+    if not np.array_equal(y0[1], y2[1]):
+        failures.append("a perturbation reached another item of the batch")
     return failures
 
 

@@ -62,8 +62,9 @@ class TestLinear:
             linear(Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 2))),
                    Tensor(np.zeros(2)))
 
-    @pytest.mark.parametrize("shape", [(2,), (1, 2, 2)])
-    def test_input_must_be_2d(self, shape):
+    # (n, d_in) or a batch (B, n, d_in)
+    @pytest.mark.parametrize("shape", [(2,), (1, 1, 2, 2)])
+    def test_input_must_be_2d_or_3d(self, shape):
         with pytest.raises(ShapeError):
             linear(Tensor(np.zeros(shape)), Tensor(np.eye(2)),
                    Tensor(np.zeros(2)))
@@ -369,20 +370,55 @@ class TestConv3dIm2col:
         k = rng.uniform(-1, 1, (8, 8, 3, 3, 3))
         g = rng.uniform(-1, 1, (8, 4, 36, 64))
         xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (1, 1)))
-        chunks = [(t0, t1, cols.nbytes) for t0, t1, cols in
-                  engine._im2col_chunks(xp, (3, 3, 3), (1, 1, 1), (4, 36, 64))]
-        assert [c[:2] for c in chunks] == [(0, 1), (1, 2), (2, 3), (3, 4)]
-        assert all(n <= engine._COL_BUDGET_BYTES for _, _, n in chunks)
+        chunks = [(b0, b1, t0, t1, cols.nbytes) for b0, b1, t0, t1, cols in
+                  engine._im2col_chunks(np.stack([xp, xp]), (3, 3, 3),
+                                        (1, 1, 1), (4, 36, 64))]
+        # one output time step of one item per chunk, item after item
+        assert [c[:4] for c in chunks] == [
+            (b, b + 1, t, t + 1) for b in range(2) for t in range(4)]
+        assert all(c[4] <= engine._COL_BUDGET_BYTES for c in chunks)
         ref = conv3d_per_tap(x, k, g, (1, 1, 1), (1, 1, 1))
         got = conv3d_with_grads(x, k, g, (1, 1, 1), (1, 1, 1))
         for r, a in zip(ref, got):
             npt.assert_allclose(a, r, rtol=0, atol=1e-10)
 
-    def test_small_volume_single_piece(self):
-        xp = np.zeros((2, 7, 6, 8))
+    @pytest.mark.parametrize("items", [1, 3])
+    def test_small_volume_single_piece(self, items):
+        xp = np.zeros((items, 2, 7, 6, 8))
         chunks = list(engine._im2col_chunks(xp, (3, 3, 3), (1, 1, 1),
                                             (5, 4, 6)))
-        assert len(chunks) == 1 and chunks[0][:2] == (0, 5)
+        assert len(chunks) == 1 and chunks[0][:4] == (0, items, 0, 5)
+
+    def test_runs_of_whole_items(self, monkeypatch):
+        # room for the columns of two items (5 output steps each) per chunk
+        rows, cols_per_step = 2 * 27, 4 * 6
+        monkeypatch.setattr(engine, "_COL_BUDGET_BYTES",
+                            2 * 5 * rows * cols_per_step * 8 + 7)
+        chunks = [c[:4] for c in engine._im2col_chunks(
+            np.zeros((5, 2, 7, 6, 8)), (3, 3, 3), (1, 1, 1), (5, 4, 6))]
+        assert chunks == [(0, 2, 0, 5), (2, 4, 0, 5), (4, 5, 0, 5)]
+
+    @pytest.mark.parametrize("budget", ["default", "two_items", "one_byte"])
+    def test_batch_matches_items(self, budget, monkeypatch):
+        # the batch through one conv3d call against each item on its own
+        rng = np.random.default_rng(37)
+        x = rng.uniform(-1, 1, (3, 2, 5, 6, 7))
+        k = rng.uniform(-1, 1, (3, 2, 3, 2, 3))
+        stride, padding = (2, 1, 2), (1, 1, 0)
+        g = rng.uniform(-1, 1, (3,) + conv3d(
+            Tensor(x[0]), Tensor(k), stride, padding).shape)
+        if budget != "default":
+            per_item = 2 * 18 * 3 * 7 * 3 * 8   # rows x (3, 7, 3) outputs
+            monkeypatch.setattr(engine, "_COL_BUDGET_BYTES",
+                                2 * per_item if budget == "two_items" else 1)
+        y, gx, gk = conv3d_with_grads(x, k, g, stride, padding)
+        gk_sum = np.zeros_like(k)
+        for i in range(3):
+            yi, gxi, gki = conv3d_with_grads(x[i], k, g[i], stride, padding)
+            npt.assert_allclose(y[i], yi, rtol=0, atol=1e-12)
+            npt.assert_allclose(gx[i], gxi, rtol=0, atol=1e-12)
+            gk_sum += gki
+        npt.assert_allclose(gk, gk_sum, rtol=0, atol=1e-12)
 
     def test_grad_check_mixed_stride(self):
         rng = np.random.default_rng(213)
@@ -519,6 +555,39 @@ class TestStackedMatmul:
                                (bi.grad, bt.grad[i])):
                     npt.assert_allclose(got, r, rtol=0, atol=1e-12)
 
+    def test_four_d_stack_matches_3d_stacks(self):
+        rng = np.random.default_rng(33)
+        a = rng.uniform(-1, 1, (2, 3, 4, 5))
+        b = rng.uniform(-1, 1, (2, 3, 5, 6))
+        g = rng.uniform(-1, 1, (2, 3, 4, 6))
+        at, bt = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        y = at @ bt
+        backward((y * Tensor(g)).sum())
+        for i in range(2):
+            ai, bi = Tensor(a[i], requires_grad=True), Tensor(b[i], requires_grad=True)
+            yi = ai @ bi
+            backward((yi * Tensor(g[i])).sum())
+            for r, got in ((yi.data, y.data[i]), (ai.grad, at.grad[i]),
+                           (bi.grad, bt.grad[i])):
+                npt.assert_array_equal(got, r)
+
+    def test_shared_left_operand(self):
+        # a 2-D weight times each matrix of a stack; its gradient sums them
+        rng = np.random.default_rng(34)
+        w = rng.uniform(-1, 1, (3, 4))
+        x = rng.uniform(-1, 1, (5, 4, 6))
+        g = rng.uniform(-1, 1, (5, 3, 6))
+        wt, xt = Tensor(w, requires_grad=True), Tensor(x, requires_grad=True)
+        y = wt @ xt
+        backward((y * Tensor(g)).sum())
+        npt.assert_array_equal(y.data, np.stack([w @ xi for xi in x]))
+        npt.assert_array_equal(xt.grad, np.stack([w.T @ gi for gi in g]))
+        npt.assert_allclose(wt.grad, sum(gi @ xi.T for gi, xi in zip(g, x)),
+                            rtol=0, atol=1e-12)
+        assert grad_check(lambda w, x: ((w @ x) ** 2).sum(),
+                          [Tensor(w, requires_grad=True),
+                           Tensor(x, requires_grad=True)]) < 1e-6
+
     def test_grad_check(self):
         rng = np.random.default_rng(31)
         a = Tensor(rng.uniform(-1, 1, (2, 3, 4)), requires_grad=True)
@@ -528,10 +597,10 @@ class TestStackedMatmul:
     @pytest.mark.parametrize("sa,sb", [
         ((2, 3, 4), (3, 4, 5)),         # stack sizes differ
         ((2, 3, 4), (2, 5, 6)),         # inner dimensions differ
-        ((3, 4), (2, 4, 5)),            # ranks differ
+        ((3, 4), (4,)),                 # 1-D right operand
         ((2, 3, 4), (4, 5)),
         ((4,), (4,)),                   # 1-D
-        ((1, 2, 3, 4), (1, 2, 4, 5)),   # 4-D
+        ((1, 2, 3, 4), (2, 2, 4, 5)),   # 4-D stacks differ
     ])
     def test_mismatched_shapes_raise(self, sa, sb):
         with pytest.raises(ShapeError):
@@ -722,15 +791,30 @@ class TestGradCheck:
         assert grad_check(lambda x: Tensor(0.0, requires_grad=True).sum() * 1.0
                           if False else (x * 0.0).sum(), [x]) == 0.0
 
+    # ops that take a leading batch axis; test_every_op runs them at B = 2
+    # as well
+    BATCHED = {"linear", "matmul", "conv1d_causal", "causal_residual",
+               "conv1d_strided", "conv3d", "conv1x1", "attention",
+               "attention_causal", "attention_last2", "mean_axis", "expand"}
+
     @pytest.mark.parametrize("name", [
         "tanh", "softmax", "conv1d_causal", "conv1d_strided", "conv3d",
         "conv1x1", "attention", "attention_causal", "attention_last2",
         "clamp", "abs",
         "logsumexp", "mean_axis", "expand", "scalar_scale",
+        "linear", "matmul", "causal_residual",
     ])
     def test_every_op(self, name):
-        rng = np.random.default_rng(zlib.crc32(name.encode()))
-        x = Tensor(rng.uniform(-2, 2, (2, 6)), requires_grad=True)
+        for batch in ((), (2,)) if name in self.BATCHED else ((),):
+            rng = np.random.default_rng(zlib.crc32(name.encode()))
+            fn, ins = self.op_case(name, rng, batch)
+            assert grad_check(fn, ins, eps=1e-5) < 1e-4, f"batch {batch}"
+
+    @staticmethod
+    def op_case(name, rng, batch):
+        """(closure, inputs) for one op; ``batch`` is () or (B,), the
+        leading axis of the op's activation operands."""
+        x = Tensor(rng.uniform(-2, 2, batch + (2, 6)), requires_grad=True)
         if name == "tanh":
             fn, ins = lambda x: x.tanh().sum(), [x]
         elif name == "softmax":
@@ -738,20 +822,26 @@ class TestGradCheck:
         elif name == "conv1d_causal":
             k = Tensor(rng.uniform(-2, 2, (2, 2, 3)), requires_grad=True)
             fn, ins = lambda x, k: (conv1d_causal(x, k, 2) ** 2).sum(), [x, k]
+        elif name == "causal_residual":
+            k = Tensor(rng.uniform(-2, 2, (2, 2, 3)), requires_grad=True)
+            fn, ins = (lambda x, k:
+                       (causal_residual(x, k, 2) ** 2).sum(), [x, k])
         elif name == "conv1d_strided":
             k = Tensor(rng.uniform(-2, 2, (3, 2, 2)), requires_grad=True)
             fn, ins = lambda x, k: (conv1d_strided(x, k, 2) ** 2).sum(), [x, k]
         elif name == "conv3d":
-            x = Tensor(rng.uniform(-2, 2, (2, 3, 3, 3)), requires_grad=True)
+            x = Tensor(rng.uniform(-2, 2, batch + (2, 3, 3, 3)),
+                       requires_grad=True)
             k = Tensor(rng.uniform(-2, 2, (2, 2, 2, 2, 2)), requires_grad=True)
             fn, ins = (lambda x, k:
                        (conv3d(x, k, (1, 1, 1), (1, 0, 0)) ** 2).sum(), [x, k])
         elif name == "conv1x1":
             k = Tensor(rng.uniform(-2, 2, (3, 2)), requires_grad=True)
-            fn, ins = lambda x, k: (conv1x1_channels(x, k) ** 2).sum(), [x, k]
+            fn, ins = (lambda x, k:
+                       (conv1x1_channels(x, k, len(batch)) ** 2).sum(), [x, k])
         elif name.startswith("attention"):
             p = rand_attention_params(rng, 4, 2)
-            x = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
+            x = Tensor(rng.uniform(-1, 1, batch + (3, 4)), requires_grad=True)
             causal = name != "attention"
             last_n = 2 if name.endswith("last2") else None
             fn = lambda x, *ts: (multi_head_attention(
@@ -768,16 +858,24 @@ class TestGradCheck:
         elif name == "logsumexp":
             fn, ins = lambda x: x.logsumexp_lastdim().sum(), [x]
         elif name == "mean_axis":
-            fn, ins = lambda x: (x.mean_axis(1) ** 2).sum(), [x]
+            fn, ins = lambda x: (x.mean_axis(x.data.ndim - 1) ** 2).sum(), [x]
         elif name == "expand":
-            x = Tensor(rng.uniform(-2, 2, 4), requires_grad=True)
+            x = Tensor(rng.uniform(-2, 2, batch + (4,)), requires_grad=True)
             fn, ins = (lambda x:
-                       (engine.expand_axis(x, 1, 3) ** 2).sum(), [x])
+                       (engine.expand_axis(x, x.data.ndim, 3) ** 2).sum(), [x])
         elif name == "scalar_scale":
             s = Tensor(np.array(1.3), requires_grad=True)
             fn, ins = (lambda x, s:
                        (engine.scalar_scale(x, s) ** 2).sum(), [x, s])
-        assert grad_check(fn, ins, eps=1e-5) < 1e-4
+        elif name == "linear":
+            w = Tensor(rng.uniform(-2, 2, (6, 4)), requires_grad=True)
+            b = Tensor(rng.uniform(-2, 2, 4), requires_grad=True)
+            fn, ins = (lambda x, w, b:
+                       (linear(x, w, b) ** 2).sum(), [x, w, b])
+        elif name == "matmul":
+            y = Tensor(rng.uniform(-2, 2, batch + (6, 3)), requires_grad=True)
+            fn, ins = lambda x, y: ((x @ y) ** 2).sum(), [x, y]
+        return fn, ins
 
 
 class TestDeterminism:

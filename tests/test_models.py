@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from foleygen import avio, models
+from foleygen import avio, models, training
 from foleygen.engine import (
     Tensor,
     backward,
@@ -37,7 +37,7 @@ from foleygen.models import (
     wavenet_receptive_field,
 )
 from foleygen.generation import generate
-from foleygen.training import TrainConfig, evaluate, train
+from foleygen.training import TrainConfig, evaluate, loss, train
 from conftest import (
     BAD_MODEL_SIZES,
     bad_size_id,
@@ -481,6 +481,18 @@ class TestParameterTree:
             assert not np.array_equal(m.params[k].data, before), k
 
 
+# every kind, and the transformer in each token front-end and head
+KIND_VARIANTS = [
+    ("deep_fusion", {}),
+    ("wavenet", {}),
+    ("transformer", {"ctx_mode": "strided_embed"}),
+    ("transformer", {"ctx_mode": "raw_short"}),
+    ("transformer", {"quantized": True, "tf_blocks": 2}),
+]
+KIND_VARIANT_IDS = ["deep_fusion", "wavenet", "strided_embed", "raw_short",
+                    "quantized"]
+
+
 def dead_elements(monkeypatch, cfg) -> dict:
     """{name: count} of the parameter elements that one backward from a
     random cotangent leaves at exactly zero gradient.
@@ -690,6 +702,28 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("kind,overrides", KIND_VARIANTS,
+                             ids=KIND_VARIANT_IDS)
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch, kind,
+                                          overrides):
+        cfg = tiny_config(kind, **overrides)
+        m = build_model(cfg, seed=24)
+        m.flat[...] = np.random.default_rng(24).standard_normal(m.flat.size)
+        p = tmp_path / "ckpt.bin"
+        save_checkpoint(m, p)
+
+        class NoDraws(np.random.Generator):
+            def standard_normal(self, *args, **kwargs):
+                raise AssertionError("a normal was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *args: NoDraws(np.random.PCG64(0)))
+        with pytest.raises(AssertionError, match="drawn"):
+            build_model(cfg)
+        loaded = load_checkpoint(p)
+        assert loaded.flat.tobytes() == m.flat.astype("<f4").astype(
+            np.float64).tobytes()
+
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
         p = tmp_path / "ckpt.bin"
         save_checkpoint(build_model(tiny_config("wavenet"), seed=3), p)
@@ -765,3 +799,89 @@ class TestModelPrecision:
         assert runs[3].tobytes() == alone.tobytes()
         assert runs[2].tobytes() == runs[0].tobytes()
         assert not np.array_equal(runs[0], runs[1])
+
+
+class TestBatchEquivalence:
+    """A batch of B windows through one graph is B one-window steps."""
+
+    B = 3
+
+    def batch(self, kind, overrides, seed=30):
+        cfg = tiny_config(kind, **overrides)
+        m = build_model(cfg, seed=seed)
+        if kind == "transformer":
+            fill_head(m, seed)
+        rng = np.random.default_rng(seed)
+        audio = rng.uniform(-1, 1, (self.B, 2, cfg.audio_ctx_len))
+        video = rng.uniform(0, 1, (self.B, cfg.video_ctx_len, 3, cfg.frame_h,
+                                   cfg.frame_w))
+        y = m.forward_core(Tensor(audio), m.embed(video))
+        if m.quantized:
+            target = rng.uniform(-1, 1, y.shape[:-1])
+        else:
+            target = rng.uniform(-0.9, 0.9, y.shape)
+        return m, audio, video, y, target
+
+    @pytest.mark.parametrize("kind,overrides", KIND_VARIANTS,
+                             ids=KIND_VARIANT_IDS)
+    def test_forward_matches_each_item(self, kind, overrides):
+        m, audio, video, y, _ = self.batch(kind, overrides)
+        assert y.shape[0] == self.B
+        for i in range(self.B):
+            one = m.forward_core(Tensor(audio[i]), m.embed(video[i])).data
+            first = m.forward_core(Tensor(audio[i:i + 1]),
+                                   m.embed(video[i:i + 1])).data
+            assert first.shape == (1,) + one.shape
+            npt.assert_array_equal(first[0], one)
+            npt.assert_allclose(y.data[i], one, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind,overrides", KIND_VARIANTS,
+                             ids=KIND_VARIANT_IDS)
+    def test_gradient_is_mean_of_item_gradients(self, kind, overrides):
+        m, audio, video, y, target = self.batch(kind, overrides)
+        kind_of_loss = "xent_categorical" if m.quantized else "mse"
+        backward(loss(kind_of_loss, y, target))
+        batch_grad = m.grad.copy()
+        mean = np.zeros_like(m.grad)
+        for i in range(self.B):
+            yi = m.forward_core(Tensor(audio[i]), m.embed(video[i]))
+            backward(loss(kind_of_loss, yi, target[i]))
+            mean += m.grad / self.B
+        assert np.any(batch_grad != 0)
+        npt.assert_allclose(batch_grad, mean, rtol=0, atol=1e-12)
+
+    # the (frame, offset) pairs of TrainConfig(steps=3, batch_size=3,
+    # seed=7) on make_dataset(frames=12, spf=4), as the loop that built one
+    # graph per window drew them
+    VISITS = {
+        "wavenet": [(8, 2), (6, 3), (5, 3), (7, 0), (0, 1), (2, 3), (8, 0),
+                    (4, 3), (1, 3)],
+        "deep_fusion": [(8, 0), (5, 0), (6, 0), (8, 0), (5, 0), (6, 0),
+                        (7, 0), (2, 0), (0, 0)],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(VISITS))
+    def test_train_visits_the_same_windows(self, monkeypatch, kind):
+        visits, batches = [], []
+        sample_window = training.sample_window
+
+        def spy(d, frame_index, *args, sample_offset=0, **kwargs):
+            visits.append((frame_index, sample_offset))
+            return sample_window(d, frame_index, *args,
+                                 sample_offset=sample_offset, **kwargs)
+
+        m = build_model(tiny_config(kind), seed=3)
+        forward_window = m.forward_window
+
+        def counted(window):
+            batches.append(window.frame_index)
+            return forward_window(window)
+
+        monkeypatch.setattr(training, "sample_window", spy)
+        m.forward_window = counted
+        train(m, make_dataset(frames=12, spf=4),
+              TrainConfig(steps=3, batch_size=3, seed=7))
+        assert visits == self.VISITS[kind]
+        # one forward per step, over that step's three windows
+        assert batches == [tuple(f for f, _ in visits[i:i + 3])
+                           for i in (0, 3, 6)]

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -343,3 +348,46 @@ class TestEvaluate:
         save_checkpoint(m2, p)
         m3 = load_checkpoint(p)
         assert evaluate(m2, ds, "mse") == evaluate(m3, ds, "mse")
+
+
+# Trains each model in a child process and prints sha256 digests of its
+# loss curve and final parameters. The sizes put the batched weight-gradient
+# GEMMs (K = batch x positions) at or past 262,144 multiply-adds, where
+# OpenBLAS starts to split a GEMM across threads.
+_BLAS_CHILD = """
+import hashlib, json
+import numpy as np
+from conftest import make_dataset, tiny_config
+from foleygen.models import build_model
+from foleygen.training import TrainConfig, train
+configs = {
+    "wavenet": tiny_config("wavenet", audio_ctx_len=128, wn_channels=32),
+    "transformer": tiny_config("transformer", ctx_mode="raw_short",
+                               audio_ctx_len=64, d_model=32, tf_blocks=2,
+                               ff_hidden=64, pos_table_len=64),
+}
+out = {}
+for kind, cfg in configs.items():
+    m = build_model(cfg, seed=3)
+    rep = train(m, make_dataset(frames=12, spf=4),
+                TrainConfig(steps=3, batch_size=4, seed=1, learning_rate=1e-2))
+    out[kind] = [hashlib.sha256(np.asarray(rep.losses).tobytes()).hexdigest(),
+                 hashlib.sha256(m.flat.tobytes()).hexdigest()]
+print(json.dumps(out))
+"""
+
+
+class TestBlasThreadDeterminism:
+    def test_one_and_two_blas_threads_train_identically(self):
+        here = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(here.parent / "src"), str(here)])
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, PYTHONPATH=path)
+            proc = subprocess.run([sys.executable, "-c", _BLAS_CHILD], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            runs.append(json.loads(proc.stdout.splitlines()[-1]))
+        assert set(runs[0]) == {"wavenet", "transformer"}
+        assert runs[0] == runs[1]
