@@ -15,10 +15,11 @@ Design constraints:
     reads them by their trailing axes, so an unbatched call runs through
     the same code. A weight is shared by the B items and its gradient is
     the sum over them, as one GEMM over items x positions where the op
-    has one: a kernel, ``linear``'s ``W`` and ``b``, attention's
-    projections, a 2-D left operand of ``@`` with a stacked right one, or
-    a right operand of ``+`` that lacks the left one's batch axis. There
-    is no other implicit broadcasting
+    has one (``conv3d`` sums one GEMM per item and time tap): a kernel,
+    ``linear``'s ``W`` and ``b``, attention's projections, a 2-D left
+    operand of ``@`` with a stacked right one, or a right operand of ``+``
+    that lacks the left one's batch axis. There is no other implicit
+    broadcasting
   * bit-deterministic: same inputs, same outputs
   * recording is scoped per thread: inside ``with no_grad():`` an op's
     result records no parents and no backward closure, so inference
@@ -603,146 +604,194 @@ def conv1d_strided(x: Tensor, kernel: Tensor, stride: int) -> Tensor:
     return out
 
 
-# Byte budget of one im2col column buffer (see conv3d for why it is capped).
+# Byte budget of one column buffer (see conv3d for why it is capped).
 _COL_BUDGET_BYTES = 4 << 20
 
 _workspace = threading.local()
 
 
-def _col_buffer(n: int, dt) -> np.ndarray:
-    """A reusable n-element scratch array for im2col columns.
+def _col_buffer(n: int, dt, slot: str = "cols") -> np.ndarray:
+    """A reusable n-element scratch array for conv3d: its columns, or its
+    per-tap GEMM outputs (slot "gemm").
 
     A fresh 4-MB array per chunk has its pages faulted in by the kernel
     every time: ~7k page faults and ~15 ms of system time per paper-size
-    embedder forward+backward on a 2-vCPU Xeon VM. One buffer per thread,
-    refilled chunk after chunk, avoids that. Buffers over the budget are
-    not kept.
+    embedder forward+backward on a 2-vCPU Xeon VM. The GEMM outputs, 0.9 MB
+    per chunk, faulted in 430 more pages per paper-size forward. One buffer
+    per slot and thread, refilled chunk after chunk, avoids that. Buffers
+    over the budget are not kept.
     """
-    buf = getattr(_workspace, "buf", None)
+    buf = getattr(_workspace, slot, None)
     if buf is None or buf.size < n or buf.dtype != dt:
         buf = np.empty(n, dtype=dt)
         if buf.nbytes <= _COL_BUDGET_BYTES:
-            _workspace.buf = buf
+            setattr(_workspace, slot, buf)
     return buf[:n]
 
 
-def _im2col_chunks(xp, ks, stride, out_shape):
-    """Yield (b0, b1, t0, t1, cols) covering items [0, N) x output times
-    [0, To) of a valid conv over xp (N, ci, Tp, Hp, Wp).
+def _spatial_col_chunks(xp, ks, stride, out_shape):
+    """Yield (b0, b1, i0, i1, cols) covering items [0, N) x output rows
+    [0, Ho) of a valid conv over xp (N, ci, Tp, Hp, Wp).
 
-    ``cols`` is (ci*kt*kh*kw, (b1-b0)*(t1-t0)*Ho*Wo): row (c, a, b, d) holds
-    xp[n, c, a + st*t, b + sh*i, d + sw*j] for every output (n, t, i, j) of
-    the chunk, so ``kernel.reshape(co, -1) @ cols`` is the conv over the
-    chunk. A chunk holds whole items when one item's columns fit
-    ``_COL_BUDGET_BYTES``, and output time steps of one item otherwise; its
-    column buffer stays within the budget unless a single output time step
-    needs more.
+    ``cols`` is (b1-b0, ci*kh*kw, Tu, (i1-i0)*Wo), where Tu = kt + st*(To-1)
+    is the number of padded time steps the conv reads: row (c, b, d) at time
+    t holds xp[n, c, t, b + sh*i, d + sw*j] for every output row i and
+    column j of the chunk. Only the spatial taps are lowered; the time taps
+    are slices of the time axis (``_time_taps``). A chunk holds whole items
+    when one item's columns fit ``_COL_BUDGET_BYTES``, and a run of one
+    item's output rows otherwise; its column buffer stays within the budget
+    unless a single output row needs more. Time is never split: each split
+    would copy the kt-1 halo steps again.
     """
+    kt, kh, kw = ks
     st, sh, sw = stride
     To, Ho, Wo = out_shape
     N, ci = xp.shape[:2]
+    Tu = kt + st * (To - 1)
     sn, sc, s_t, s_h, s_w = xp.strides
-    # (ci, kt, kh, kw, N, To, Ho, Wo): tap (a, b, d) of output (n, t, i, j)
+    # (N, ci, kh, kw, Tu, Ho, Wo): spatial tap (b, d) of output (i, j) at t
     win = np.lib.stride_tricks.as_strided(
-        xp, (ci, *ks, N, To, Ho, Wo),
-        (sc, s_t, s_h, s_w, sn, st * s_t, sh * s_h, sw * s_w), writeable=False)
-    rows = ci * ks[0] * ks[1] * ks[2]
-    fit = max(1, _COL_BUDGET_BYTES // (rows * Ho * Wo * xp.itemsize))
-    if fit >= To:
-        nb = min(N, fit // To)
-        spans = [(b, min(N, b + nb), 0, To) for b in range(0, N, nb)]
+        xp, (N, ci, kh, kw, Tu, Ho, Wo),
+        (sn, sc, s_h, s_w, s_t, sh * s_h, sw * s_w), writeable=False)
+    fit = max(1, _COL_BUDGET_BYTES // (ci * kh * kw * Tu * Wo * xp.itemsize))
+    if fit >= Ho:
+        nb, rows = max(1, min(N, fit // Ho)), Ho
+        spans = [(b, min(N, b + nb), 0, Ho) for b in range(0, N, nb)]
     else:
-        spans = [(b, b + 1, t, min(To, t + fit))
-                 for b in range(N) for t in range(0, To, fit)]
-    units = max((b1 - b0) * (t1 - t0) for b0, b1, t0, t1 in spans)
-    buf = _col_buffer(rows * units * Ho * Wo, xp.dtype)
-    for b0, b1, t0, t1 in spans:
-        shape = win.shape[:4] + (b1 - b0, t1 - t0, Ho, Wo)
+        nb, rows = 1, fit
+        spans = [(b, b + 1, i, min(Ho, i + fit))
+                 for b in range(N) for i in range(0, Ho, fit)]
+    buf = _col_buffer(nb * ci * kh * kw * Tu * rows * Wo, xp.dtype)
+    for b0, b1, i0, i1 in spans:
+        shape = (b1 - b0, ci, kh, kw, Tu, i1 - i0, Wo)
         part = buf[: math.prod(shape)].reshape(shape)
-        np.copyto(part, win[:, :, :, :, b0:b1, t0:t1])
-        yield b0, b1, t0, t1, part.reshape(rows, -1)
+        np.copyto(part, win[b0:b1, :, :, :, :, i0:i1])
+        yield b0, b1, i0, i1, part.reshape(b1 - b0, ci * kh * kw, Tu, -1)
 
 
-def _conv3d_valid(xp, w2, ks, stride, out_shape):
-    """Unpadded cross-correlation of xp (N, ci, ...) with
-    w2 = kernel.reshape(co, -1): (N, co, To, Ho, Wo)."""
+def _time_taps(cols, kt, st, To):
+    """A chunk's time taps as one (items, kt, rows, To*columns) array: tap
+    a holds the time steps a, a + st, ..., a + st*(To-1) of cols (items,
+    rows, Tu, columns). A view of cols at time stride 1, where each tap is
+    a contiguous slice; a copy otherwise."""
+    nb, K, _, R = cols.shape
+    sn, sk, s_t, sr = cols.strides
+    taps = np.ndarray((nb, kt, K, To, R), cols.dtype, cols, 0,
+                      (sn, s_t, sk, st * s_t, sr))
+    return taps.reshape(nb, kt, K, To * R)
+
+
+def _conv3d_valid(xp, kernel, stride, out_shape):
+    """Unpadded cross-correlation of xp (N, ci, ...) with the kernel array
+    (co, ci, kt, kh, kw): (N, co, To, Ho, Wo)."""
+    co, ci, kt, kh, kw = kernel.shape
     To, Ho, Wo = out_shape
-    co, N = w2.shape[0], xp.shape[0]
-    y = np.empty((N, co, To, Ho * Wo), dtype=w2.dtype)
-    for b0, b1, t0, t1, cols in _im2col_chunks(xp, ks, stride, out_shape):
-        # one GEMM per item of the chunk, written in place: a chunk is one
-        # item's time steps or whole items, so its slice of y reshapes to
-        # (items, co, columns) as a view
-        nb = b1 - b0
-        np.matmul(w2, cols.reshape(cols.shape[0], nb, -1).swapaxes(0, 1),
-                  out=y[b0:b1, :, t0:t1].reshape(nb, co, -1))
-    return y.reshape(N, co, To, Ho, Wo)
+    # w[a] is time tap a as (co, ci*kh*kw), rows ordered as the columns
+    w = kernel.transpose(2, 0, 1, 3, 4).reshape(kt, co, -1)
+    y = np.empty((xp.shape[0], co, To, Ho, Wo), dtype=kernel.dtype)
+    for b0, b1, i0, i1, cols in _spatial_col_chunks(xp, (kt, kh, kw), stride,
+                                                    out_shape):
+        # one GEMM per (item, time tap) in one matmul; the sum over the taps
+        # is written into the chunk's part of y
+        taps = _time_taps(cols, kt, stride[0], To)
+        nb, rows = b1 - b0, i1 - i0
+        z = _col_buffer(nb * kt * co * To * rows * Wo, y.dtype, "gemm")
+        np.matmul(w, taps, out=z.reshape(nb, kt, co, -1))
+        z.reshape(nb, kt, co, To, rows, Wo).sum(1, out=y[b0:b1, :, :, i0:i1])
+    return y
+
+
+def _triple(v, name: str, lo: int) -> tuple:
+    """v if it is a tuple of 3 ints >= lo; a ParameterError otherwise."""
+    if (not isinstance(v, tuple) or len(v) != 3
+            or not all(isinstance(n, int) and n >= lo for n in v)):
+        raise ParameterError(
+            f"conv3d: {name} must be a tuple of 3 ints >= {lo}, got {v!r}")
+    return v
 
 
 def conv3d(x: Tensor, kernel: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
     """Volumetric cross-correlation.
 
     x: (ch_in, T, H, W) or (B, ch_in, T, H, W), kernel: (ch_out, ch_in, kT,
-    kH, kW). Output extent per dim: (dim + 2*pad - k)//stride + 1, which
-    must be >= 1.
+    kH, kW); stride and padding are tuples of 3 ints, stride >= 1 and
+    padding >= 0. Output extent per dim: (dim + 2*pad - k)//stride + 1,
+    which must be >= 1.
 
-    Computed as im2col GEMMs (Chellapilla et al., 2006). With xp the
-    zero-padded input and cols(xp) its (ci*kT*kH*kW, B*To*Ho*Wo) column
-    matrix (rows ordered channel, then tap; columns ordered item, t, h, w):
+    Computed on spatial-only im2col columns with one GEMM per time tap
+    (MEC, Cho & Brand, 2017, arXiv:1706.06873). With xp the zero-padded
+    input, S(xp) lowers only the kH*kW spatial taps, once per padded time
+    step the conv reads: a (ci*kH*kW, Tp, Ho*Wo) array per item (fewer
+    than Tp steps when sT > 1 leaves some unread), rows ordered channel,
+    then tap. S_a is its time slice a, a + sT, ..., a + sT*(To-1), a
+    contiguous view at time stride 1, and W_a is the kernel's time tap a
+    as (co, ci*kH*kW). Then:
 
-      * forward:         y  = kernel.reshape(co, -1) @ cols(xp)
-      * kernel gradient: gk = g.reshape(co, -1) @ cols(xp).T, with the
-        columns rebuilt in backward rather than kept on the tape
+      * forward:         y    = sum_a W_a @ S_a(xp)
+      * kernel gradient: gk_a = g @ S_a(xp).T summed over items, computed
+        as its transpose S_a @ g.T, with the columns rebuilt in backward
+        rather than kept on the tape
       * input gradient:  the full correlation of g, dilated by the stride
         (stride-1 zeros between entries) and padded by k-1, with the
         kernel flipped in all three taps and transposed to (ci, co, ...),
-        evaluated over the unpadded input range through the same columns.
+        evaluated over the unpadded input range by the same valid conv.
 
-    The column buffer is bounded: it is built in one piece when the whole
-    batch fits ``_COL_BUDGET_BYTES`` (4 MiB), in runs of whole items when
-    one item fits, and split along each item's output time otherwise. A
-    full-volume buffer at paper size (16 MB per item at 8 ch x 4 x 36 x 64)
-    raised the peak RSS of the paper-size wavenet and deep-fusion benchmark
-    workloads by 11-12%; split per output time step, it costs them 1.5-1.7%.
+    The 27-tap im2col layout copies ci*kT*kH*kW*To*Ho*Wo elements per item;
+    this one copies ci*kH*kW*Tp*Ho*Wo, half as many for the models' 3x3x3
+    kernel over 4 frames (To = 4, Tp = 6).
+
+    The column buffer is bounded by ``_COL_BUDGET_BYTES`` (4 MiB): it holds
+    the whole batch when it fits, runs of whole items when one item fits,
+    and runs of one item's output rows otherwise. At paper size (8 ch x 4 x
+    36 x 64) that is 18 rows, 3.98 MB, two chunks per item. Time is not
+    split, as a split would copy the kT-1 halo steps again. The bound keeps
+    peak RSS down: a full-volume buffer at paper size raised the peak RSS
+    of the paper-size wavenet and deep-fusion benchmark workloads by
+    11-12%. Besides the buffer, each chunk's GEMMs return kT outputs before
+    their sum (0.9 MB per chunk at paper size).
     """
     if x.data.ndim not in (4, 5) or kernel.data.ndim != 5:
         raise ShapeError(
             f"conv3d: x {x.shape} must be 4-D or 5-D, kernel {kernel.shape} "
             "must be 5-D"
         )
+    st, sh, sw = stride = _triple(stride, "stride", 1)
+    pt, ph, pw = padding = _triple(padding, "padding", 0)
     co, ci, kt, kh, kw = kernel.shape
     if x.shape[-4] != ci:
         raise ShapeError(f"conv3d: x channels {x.shape} vs kernel {kernel.shape}")
-    st, sh, sw = stride
-    pt, ph, pw = padding
     T, H, W = x.shape[-3:]
     ks = (kt, kh, kw)
     outs = []
     for dim, k, s, p in zip((T, H, W), ks, stride, padding):
-        o = (dim + 2 * p - k) // s + 1
         if dim + 2 * p < k:
             raise ShapeError(
                 f"conv3d: kernel {kernel.shape} larger than padded input {x.shape} "
                 f"with padding {padding}"
             )
-        outs.append(o)
+        outs.append((dim + 2 * p - k) // s + 1)
     To, Ho, Wo = outs
     x5 = x.data.reshape((-1,) + x.shape[-4:])
     N = x5.shape[0]
     xp = np.zeros((N, ci, T + 2 * pt, H + 2 * ph, W + 2 * pw), dtype=x5.dtype)
     xp[:, :, pt: pt + T, ph: ph + H, pw: pw + W] = x5
-    y = _conv3d_valid(xp, kernel.data.reshape(co, -1), ks, stride, outs)
+    y = _conv3d_valid(xp, kernel.data, stride, outs)
     out = Tensor._result(y.reshape(x.shape[:-4] + y.shape[1:]), (x, kernel),
                          None)
     if out.requires_grad:
         def bw(g, x=x, kernel=kernel, xp=xp):
+            g5 = g.reshape(N, co, To, Ho, Wo)
             if kernel.requires_grad:
-                # (co, N, To, Ho*Wo), the column order of the chunks
-                g4 = g.reshape(N, co, To, Ho * Wo).transpose(1, 0, 2, 3)
-                gk = np.zeros((co, ci * kt * kh * kw), dtype=g.dtype)
-                for b0, b1, t0, t1, cols in _im2col_chunks(xp, ks, stride, outs):
-                    gk += g4[:, b0:b1, t0:t1].reshape(co, -1) @ cols.T
-                kernel.grad += gk.reshape(kernel.shape)
+                # gk_a.T = S_a @ g.T: in this order the GEMM ran twice as fast
+                # at paper size as g @ S_a.T (2-vCPU Xeon VM, OpenBLAS)
+                gkt = np.zeros((kt, ci * kh * kw, co), dtype=g.dtype)
+                for b0, b1, i0, i1, cols in _spatial_col_chunks(xp, ks, stride,
+                                                                outs):
+                    gc = g5[b0:b1, :, :, i0:i1].reshape(b1 - b0, 1, co, -1)
+                    taps = _time_taps(cols, kt, st, To)
+                    gkt += np.matmul(taps, gc.swapaxes(2, 3)).sum(0)
+                kernel.grad += gkt.reshape(kt, ci, kh, kw, co).transpose(
+                    4, 1, 0, 2, 3)
             if x.requires_grad:
                 # g dilated by the stride and padded by k-1: output i sits at
                 # k-1 + s*i. Its window from the padding offset on lines up
@@ -751,12 +800,12 @@ def conv3d(x: Tensor, kernel: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Te
                                W + 2 * pw + kw - 1), dtype=g.dtype)
                 gd[:, :, kt - 1: kt - 1 + st * To: st,
                    kh - 1: kh - 1 + sh * Ho: sh,
-                   kw - 1: kw - 1 + sw * Wo: sw] = g.reshape(N, co, To, Ho, Wo)
+                   kw - 1: kw - 1 + sw * Wo: sw] = g5
                 gd = gd[:, :, pt: pt + T + kt - 1, ph: ph + H + kh - 1,
                         pw: pw + W + kw - 1]
                 wf = kernel.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-                x.grad += _conv3d_valid(gd, wf.reshape(ci, -1), ks, (1, 1, 1),
-                                        (T, H, W)).reshape(x.shape)
+                x.grad += _conv3d_valid(gd, wf, (1, 1, 1), (T, H, W)).reshape(
+                    x.shape)
         out._backward = bw
     return out
 

@@ -139,7 +139,6 @@ class TrainConfig(JsonConfig):
 @dataclass
 class TrainReport:
     losses: list = field(default_factory=list)          # per-step train loss
-    val_points: list = field(default_factory=list)      # (step, val_loss)
 
 
 def _window_for(model: Model, ds: Dataset, frame_index: int,
@@ -211,13 +210,12 @@ def train(model: Model, dataset: Dataset, cfg: TrainConfig,
 
 
 def write_loss_csv(report: TrainReport, path) -> None:
-    """Loss curve as CSV: step, train_loss, val_loss (blank when unmeasured)."""
-    vals = dict(report.val_points)
+    """Loss curve as CSV: step, train_loss."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["step", "train_loss", "val_loss"])
+        w.writerow(["step", "train_loss"])
         for i, tl in enumerate(report.losses):
-            w.writerow([i, repr(tl), repr(vals[i]) if i in vals else ""])
+            w.writerow([i, repr(tl)])
 
 
 def evaluate(model: Model, dataset: Dataset, kind: str,

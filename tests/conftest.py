@@ -12,6 +12,7 @@ from foleygen.avio import (
     VideoClip,
     save_dataset,
 )
+from foleygen.engine import Tensor, backward, conv3d
 from foleygen.models import ModelConfig, build_model, save_checkpoint
 
 
@@ -161,3 +162,39 @@ def fail_on_nth_write(monkeypatch, module, n: int) -> None:
     monkeypatch.setattr(module, "open",
                         lambda *a, **k: FailingFile(builtins.open(*a, **k)),
                         raising=False)
+
+
+def conv3d_per_tap(x, k, g, stride, padding):
+    """The original per-tap conv3d: forward, input and kernel gradients.
+
+    One einsum per kernel tap in each direction. Kept as the reference the
+    im2col implementation is checked against; g is the output gradient.
+    """
+    co, ci, kt, kh, kw = k.shape
+    st, sh, sw = stride
+    pt, ph, pw = padding
+    dims = x.shape[1:]
+    To, Ho, Wo = [(d + 2 * p - kk) // s + 1
+                  for d, kk, s, p in zip(dims, (kt, kh, kw), stride, padding)]
+    xp = np.pad(x, ((0, 0), (pt, pt), (ph, ph), (pw, pw)))
+    y = np.zeros((co, To, Ho, Wo))
+    gk = np.zeros_like(k)
+    gxp = np.zeros_like(xp)
+    for a in range(kt):
+        for b in range(kh):
+            for c in range(kw):
+                sl = (slice(None), slice(a, a + st * To, st),
+                      slice(b, b + sh * Ho, sh), slice(c, c + sw * Wo, sw))
+                y += np.einsum("oc,cthw->othw", k[:, :, a, b, c], xp[sl])
+                gk[:, :, a, b, c] += np.einsum("othw,cthw->oc", g, xp[sl])
+                gxp[sl] += np.einsum("oc,othw->cthw", k[:, :, a, b, c], g)
+    gx = gxp[:, pt: pt + dims[0], ph: ph + dims[1], pw: pw + dims[2]]
+    return y, gx, gk
+
+
+def conv3d_with_grads(x, k, g, stride, padding):
+    xt = Tensor(x, requires_grad=True)
+    kt = Tensor(k, requires_grad=True)
+    y = conv3d(xt, kt, stride, padding)
+    backward((y * Tensor(g)).sum())
+    return y.data, xt.grad, kt.grad

@@ -27,7 +27,7 @@ from foleygen.engine import (
 from foleygen.errors import ContractError, ParameterError, ShapeError
 from foleygen.models import build_model
 
-from conftest import tiny_config
+from conftest import conv3d_per_tap, conv3d_with_grads, tiny_config
 
 
 def rand_attention_params(rng, d, heads):
@@ -302,52 +302,32 @@ class TestConv3d:
         with pytest.raises(ShapeError):
             conv3d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 3, 1, 1))))
 
-
-def conv3d_per_tap(x, k, g, stride, padding):
-    """The original per-tap conv3d: forward, input and kernel gradients.
-
-    One einsum per kernel tap in each direction. Kept as the reference the
-    im2col implementation is checked against; g is the output gradient.
-    """
-    co, ci, kt, kh, kw = k.shape
-    st, sh, sw = stride
-    pt, ph, pw = padding
-    dims = x.shape[1:]
-    To, Ho, Wo = [(d + 2 * p - kk) // s + 1
-                  for d, kk, s, p in zip(dims, (kt, kh, kw), stride, padding)]
-    xp = np.pad(x, ((0, 0), (pt, pt), (ph, ph), (pw, pw)))
-    y = np.zeros((co, To, Ho, Wo))
-    gk = np.zeros_like(k)
-    gxp = np.zeros_like(xp)
-    for a in range(kt):
-        for b in range(kh):
-            for c in range(kw):
-                sl = (slice(None), slice(a, a + st * To, st),
-                      slice(b, b + sh * Ho, sh), slice(c, c + sw * Wo, sw))
-                y += np.einsum("oc,cthw->othw", k[:, :, a, b, c], xp[sl])
-                gk[:, :, a, b, c] += np.einsum("othw,cthw->oc", g, xp[sl])
-                gxp[sl] += np.einsum("oc,othw->cthw", k[:, :, a, b, c], g)
-    gx = gxp[:, pt: pt + dims[0], ph: ph + dims[1], pw: pw + dims[2]]
-    return y, gx, gk
-
-
-def conv3d_with_grads(x, k, g, stride, padding):
-    xt = Tensor(x, requires_grad=True)
-    kt = Tensor(k, requires_grad=True)
-    y = conv3d(xt, kt, stride, padding)
-    backward((y * Tensor(g)).sum())
-    return y.data, xt.grad, kt.grad
+    @pytest.mark.parametrize("stride, padding", [
+        ((0, 1, 1), (0, 0, 0)),
+        ((1.5, 1, 1), (0, 0, 0)),
+        ((1, 1), (0, 0, 0)),
+        ((1, 1, 1), (1, 1)),
+        ((1, 1, 1, 1), (0, 0, 0)),
+        ((1, 1, 1), (-1, 0, 0)),
+        ((1, 1, 1), (0, 0.5, 0)),
+        (1, (0, 0, 0)),
+    ])
+    def test_bad_stride_or_padding_refused(self, stride, padding):
+        x = Tensor(np.ones((1, 3, 3, 3)))
+        k = Tensor(np.ones((1, 1, 1, 1, 1)))
+        with pytest.raises(ParameterError):
+            conv3d(x, k, stride, padding)
 
 
 class TestConv3dIm2col:
-    """The im2col conv3d against the per-tap reference."""
+    """The spatial-column conv3d against the per-tap reference."""
 
     @pytest.mark.parametrize("budget", ["default", "one_byte"])
     @pytest.mark.parametrize("padding", [(0, 0, 0), (1, 1, 1), (1, 0, 1)])
     @pytest.mark.parametrize("ksize", [(2, 3, 1), (3, 1, 2), (3, 3, 3)])
     def test_matches_per_tap_reference(self, ksize, padding, budget,
                                        monkeypatch):
-        # a one-byte budget forces one output time step per column chunk
+        # a one-byte budget forces one output row per column chunk
         if budget == "one_byte":
             monkeypatch.setattr(engine, "_COL_BUDGET_BYTES", 1)
         rng = np.random.default_rng(sum(ksize) + 7 * sum(padding))
@@ -363,20 +343,24 @@ class TestConv3dIm2col:
                                     err_msg=f"{name} at stride {stride}")
 
     def test_paper_size_split_path(self):
-        # 8 ch x (4, 36, 64) with a 3x3x3 kernel: the whole-volume column
-        # matrix (16 MB) is over the budget, so it is built per time step
+        # 8 ch x (4, 36, 64) with a 3x3x3 kernel: one item's spatial columns
+        # (8 MB) are over the budget, so they are built in runs of rows
         rng = np.random.default_rng(36)
         x = rng.uniform(-1, 1, (8, 4, 36, 64))
         k = rng.uniform(-1, 1, (8, 8, 3, 3, 3))
         g = rng.uniform(-1, 1, (8, 4, 36, 64))
         xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (1, 1)))
-        chunks = [(b0, b1, t0, t1, cols.nbytes) for b0, b1, t0, t1, cols in
-                  engine._im2col_chunks(np.stack([xp, xp]), (3, 3, 3),
-                                        (1, 1, 1), (4, 36, 64))]
-        # one output time step of one item per chunk, item after item
+        chunks = [(b0, b1, i0, i1, cols.nbytes, cols.size)
+                  for b0, b1, i0, i1, cols in engine._spatial_col_chunks(
+                      np.stack([xp, xp]), (3, 3, 3), (1, 1, 1), (4, 36, 64))]
+        # 18 output rows of one item per chunk, item after item
         assert [c[:4] for c in chunks] == [
-            (b, b + 1, t, t + 1) for b in range(2) for t in range(4)]
+            (b, b + 1, i, i + 18) for b in range(2) for i in (0, 18)]
         assert all(c[4] <= engine._COL_BUDGET_BYTES for c in chunks)
+        # ci*kh*kw x Tp x rows*Wo elements: half the 27-tap columns
+        # (ci*kt*kh*kw x To x rows*Wo) of the same rows
+        assert all(c[5] == 8 * 9 * 6 * 18 * 64 for c in chunks)
+        assert all(2 * c[5] == 8 * 27 * 4 * 18 * 64 for c in chunks)
         ref = conv3d_per_tap(x, k, g, (1, 1, 1), (1, 1, 1))
         got = conv3d_with_grads(x, k, g, (1, 1, 1), (1, 1, 1))
         for r, a in zip(ref, got):
@@ -385,18 +369,19 @@ class TestConv3dIm2col:
     @pytest.mark.parametrize("items", [1, 3])
     def test_small_volume_single_piece(self, items):
         xp = np.zeros((items, 2, 7, 6, 8))
-        chunks = list(engine._im2col_chunks(xp, (3, 3, 3), (1, 1, 1),
-                                            (5, 4, 6)))
-        assert len(chunks) == 1 and chunks[0][:4] == (0, items, 0, 5)
+        chunks = list(engine._spatial_col_chunks(xp, (3, 3, 3), (1, 1, 1),
+                                                 (5, 4, 6)))
+        assert len(chunks) == 1 and chunks[0][:4] == (0, items, 0, 4)
+        assert chunks[0][4].shape == (items, 2 * 9, 7, 4 * 6)
 
     def test_runs_of_whole_items(self, monkeypatch):
-        # room for the columns of two items (5 output steps each) per chunk
-        rows, cols_per_step = 2 * 27, 4 * 6
+        # room for the spatial columns of two items per chunk: 2*9 rows x 7
+        # padded time steps x (4, 6) outputs
         monkeypatch.setattr(engine, "_COL_BUDGET_BYTES",
-                            2 * 5 * rows * cols_per_step * 8 + 7)
-        chunks = [c[:4] for c in engine._im2col_chunks(
+                            2 * 18 * 7 * 4 * 6 * 8 + 7)
+        chunks = [c[:4] for c in engine._spatial_col_chunks(
             np.zeros((5, 2, 7, 6, 8)), (3, 3, 3), (1, 1, 1), (5, 4, 6))]
-        assert chunks == [(0, 2, 0, 5), (2, 4, 0, 5), (4, 5, 0, 5)]
+        assert chunks == [(0, 2, 0, 4), (2, 4, 0, 4), (4, 5, 0, 4)]
 
     @pytest.mark.parametrize("budget", ["default", "two_items", "one_byte"])
     def test_batch_matches_items(self, budget, monkeypatch):
@@ -408,7 +393,8 @@ class TestConv3dIm2col:
         g = rng.uniform(-1, 1, (3,) + conv3d(
             Tensor(x[0]), Tensor(k), stride, padding).shape)
         if budget != "default":
-            per_item = 2 * 18 * 3 * 7 * 3 * 8   # rows x (3, 7, 3) outputs
+            # 2*2*3 rows x 7 padded time steps x (7, 3) outputs
+            per_item = 12 * 7 * 7 * 3 * 8
             monkeypatch.setattr(engine, "_COL_BUDGET_BYTES",
                                 2 * per_item if budget == "two_items" else 1)
         y, gx, gk = conv3d_with_grads(x, k, g, stride, padding)

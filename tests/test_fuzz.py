@@ -1,13 +1,18 @@
-"""Hypothesis fuzzing of every loader: whatever the bytes, a loader either
-returns or raises a FoleygenError, which the CLI turns into exit code 2."""
+"""Hypothesis fuzzing. Every loader: whatever the bytes, a loader either
+returns or raises a FoleygenError, which the CLI turns into exit code 2.
+conv3d: whatever the sizes, strides, paddings, batch and column budget, it
+matches the per-tap reference."""
 
 import json
 import struct
 import typing
 
+import numpy as np
+import numpy.testing as npt
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from foleygen import engine
 from foleygen.avio import load_clip, load_dataset, load_wav
 from foleygen.errors import FoleygenError
 from foleygen.models import (
@@ -17,7 +22,12 @@ from foleygen.models import (
     load_checkpoint,
     save_checkpoint,
 )
-from conftest import rewrite_config, tiny_config
+from conftest import (
+    conv3d_per_tap,
+    conv3d_with_grads,
+    rewrite_config,
+    tiny_config,
+)
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -74,6 +84,8 @@ def dataset_files(draw) -> bytes:
     audio = draw(st.binary(min_size=8 * f * spf, max_size=8 * f * spf))
     return header + audio + bytes(f * 3 * h * w)
 
+
+DEFAULT_BUDGET = engine._COL_BUDGET_BYTES
 
 json_values = st.one_of(small, st.integers(-2, -1), st.booleans(), st.none(),
                         st.floats(), st.text(max_size=3))
@@ -136,3 +148,36 @@ class TestLoadersRaiseOnlyTypedErrors:
         save_checkpoint(build_model(tiny_config("wavenet"), seed=0), path)
         path.write_bytes(data.draw(mutate(path.read_bytes())))
         loads_or_refuses(load_checkpoint, path)
+
+
+class TestConv3dMatchesPerTap:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_forward_and_gradients(self, monkeypatch, data):
+        draw = data.draw
+        ci, co = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        ks = tuple(draw(st.integers(1, 3)) for _ in range(3))
+        stride = tuple(draw(st.integers(1, 3)) for _ in range(3))
+        padding = tuple(draw(st.integers(0, 2)) for _ in range(3))
+        dims = tuple(draw(st.integers(max(1, k - 2 * p), 6))
+                     for k, p in zip(ks, padding))
+        batch = draw(st.integers(0, 3))
+        To, Ho, Wo = [(d + 2 * p - k) // s + 1
+                      for d, k, s, p in zip(dims, ks, stride, padding)]
+        # one output row's spatial columns over the padded time it reads
+        row_bytes = ci * ks[1] * ks[2] * (ks[0] + stride[0] * (To - 1)) * Wo * 8
+        monkeypatch.setattr(engine, "_COL_BUDGET_BYTES", draw(
+            st.sampled_from([1, 2 * row_bytes, DEFAULT_BUDGET])))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        x = rng.uniform(-1, 1, (batch, ci) + dims)
+        k = rng.uniform(-1, 1, (co, ci) + ks)
+        g = rng.uniform(-1, 1, (batch, co, To, Ho, Wo))
+        ref = (np.zeros(g.shape), np.zeros(x.shape), np.zeros(k.shape))
+        for i in range(batch):
+            yi, gxi, gki = conv3d_per_tap(x[i], k, g[i], stride, padding)
+            ref[0][i], ref[1][i] = yi, gxi
+            ref[2][...] += gki
+        got = conv3d_with_grads(x, k, g, stride, padding)
+        for name, r, a in zip(("y", "grad x", "grad kernel"), ref, got):
+            npt.assert_allclose(a, r, rtol=0, atol=1e-12, err_msg=name)

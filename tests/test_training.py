@@ -195,7 +195,7 @@ class TestTrainLoop:
         p = tmp_path / "loss.csv"
         write_loss_csv(rep, p)
         lines = p.read_text().strip().splitlines()
-        assert lines[0] == "step,train_loss,val_loss"
+        assert lines[0] == "step,train_loss"
         assert len(lines) == 4
 
 
@@ -353,13 +353,17 @@ class TestEvaluate:
 # Trains each model in a child process and prints sha256 digests of its
 # loss curve and final parameters. The sizes put the batched weight-gradient
 # GEMMs (K = batch x positions) at or past 262,144 multiply-adds, where
-# OpenBLAS starts to split a GEMM across threads.
+# OpenBLAS starts to split a GEMM across threads. The tiny configs never
+# split conv3d's columns, so one paper-size conv3d (B=4, 8 ch, 4 x 36 x 64)
+# runs its chunked GEMMs forward and backward.
 _BLAS_CHILD = """
 import hashlib, json
 import numpy as np
 from conftest import make_dataset, tiny_config
+from foleygen.engine import Tensor, backward, conv3d
 from foleygen.models import build_model
 from foleygen.training import TrainConfig, train
+sha = lambda a: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 configs = {
     "wavenet": tiny_config("wavenet", audio_ctx_len=128, wn_channels=32),
     "transformer": tiny_config("transformer", ctx_mode="raw_short",
@@ -371,8 +375,13 @@ for kind, cfg in configs.items():
     m = build_model(cfg, seed=3)
     rep = train(m, make_dataset(frames=12, spf=4),
                 TrainConfig(steps=3, batch_size=4, seed=1, learning_rate=1e-2))
-    out[kind] = [hashlib.sha256(np.asarray(rep.losses).tobytes()).hexdigest(),
-                 hashlib.sha256(m.flat.tobytes()).hexdigest()]
+    out[kind] = [sha(np.asarray(rep.losses)), sha(m.flat)]
+rng = np.random.default_rng(5)
+x = Tensor(rng.uniform(-1, 1, (4, 8, 4, 36, 64)), requires_grad=True)
+k = Tensor(rng.uniform(-1, 1, (8, 8, 3, 3, 3)), requires_grad=True)
+y = conv3d(x, k, (1, 1, 1), (1, 1, 1))
+backward((y * y).sum())
+out["conv3d"] = [sha(y.data), sha(x.grad), sha(k.grad)]
 print(json.dumps(out))
 """
 
@@ -389,5 +398,5 @@ class TestBlasThreadDeterminism:
                                   capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, proc.stderr
             runs.append(json.loads(proc.stdout.splitlines()[-1]))
-        assert set(runs[0]) == {"wavenet", "transformer"}
+        assert set(runs[0]) == {"wavenet", "transformer", "conv3d"}
         assert runs[0] == runs[1]
