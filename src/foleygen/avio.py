@@ -36,18 +36,16 @@ class AudioBuffer:
     sample_rate: int
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 2 or self.samples.shape[1] != 2:
-            raise FormatError(
-                f"audio samples must be (N, 2), got {self.samples.shape}"
-            )
+        x = np.asarray(self.samples)
+        if x.ndim != 2 or x.shape[1] != 2:
+            raise FormatError(f"audio samples must be (N, 2), got {x.shape}")
         if self.sample_rate <= 0:
             raise ParameterError("sample_rate must be positive")
-        # phrased so that NaN, which fails every comparison, is rejected too
-        if self.samples.size and not (
-            self.samples.min() >= -1.0 and self.samples.max() <= 1.0
-        ):
+        # phrased so that NaN, which fails every comparison, is rejected too;
+        # checked before the cast, which warns on a float32 signalling NaN
+        if x.size and not (x.min() >= -1.0 and x.max() <= 1.0):
             raise FormatError("audio amplitudes must be finite and lie in [-1, 1]")
+        self.samples = x.astype(np.float64, copy=False)
 
     def __len__(self):
         return self.samples.shape[0]
@@ -154,7 +152,11 @@ def load_wav(path) -> AudioBuffer:
     dtype, scale = codecs[audio_format, bits]
     if len(data) % (bits // 8) != 0:
         raise FormatError(f"{path}: data chunk not a whole number of samples")
-    x = np.frombuffer(data, dtype=dtype).astype(np.float64) * scale
+    x = np.frombuffer(data, dtype=dtype)
+    # checked before the cast: a signalling NaN warns when cast to float64
+    if not np.isfinite(x).all():
+        raise FormatError(f"{path}: float samples must be finite")
+    x = x.astype(np.float64) * scale
     if x.size % channels != 0:
         raise FormatError(f"{path}: data chunk not a whole number of frames")
     x = x.reshape(-1, channels)
@@ -427,7 +429,7 @@ def load_dataset(path) -> Dataset:
             f"{path}: size {len(raw)} != expected {hsize + audio_bytes + frame_bytes}"
         )
     audio = np.frombuffer(raw, dtype="<f4", count=n_samples * 2,
-                          offset=hsize).reshape(-1, 2).astype(np.float64)
+                          offset=hsize).reshape(-1, 2)
     frames = np.frombuffer(raw, dtype=np.uint8, count=frame_bytes,
                            offset=hsize + audio_bytes)
     frames = frames.reshape(F, 3, H, W).astype(np.float64) / 255.0

@@ -25,6 +25,9 @@ Design constraints:
     result records no parents and no backward closure, so inference
     (generation, evaluation) builds no tape; the computed values are the
     same with and without the scope
+  * one owner of gradients: an op's backward closure returns its parents'
+    gradients and writes none; ``backward`` alone stores and sums them,
+    and only leaves keep a ``grad`` array
 """
 
 from __future__ import annotations
@@ -65,8 +68,10 @@ def no_grad():
 class Tensor:
     """An n-dimensional array that optionally participates in the tape.
 
-    ``grad`` is populated by :func:`backward` and is overwritten (not
-    accumulated) across separate backward calls.
+    A leaf (made with ``requires_grad=True``) has a ``grad`` array of its
+    shape, which :func:`backward` overwrites in place (it does not
+    accumulate across calls). An op's result keeps ``grad = None``; its
+    ``_backward(g)`` maps the result's gradient to one gradient per parent.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -122,9 +127,7 @@ class Tensor:
         if isinstance(other, (int, float)):
             out = Tensor._result(self.data + other, (self,), None)
             if out.requires_grad:
-                def bw(g, a=self):
-                    a.grad += g
-                out._backward = bw
+                out._backward = lambda g: (g,)
             return out
         # other may lack self's leading batch axis: it is added to each item
         shared = False
@@ -134,12 +137,8 @@ class Tensor:
                 self._check_same_shape(other, "add")
         out = Tensor._result(self.data + other.data, (self, other), None)
         if out.requires_grad:
-            def bw(g, a=self, b=other):
-                if a.requires_grad:
-                    a.grad += g
-                if b.requires_grad:
-                    b.grad += g.sum(0) if shared else g
-            out._backward = bw
+            out._backward = lambda g, shared=shared: (
+                g, g.sum(0) if shared else g)
         return out
 
     __radd__ = __add__
@@ -147,9 +146,7 @@ class Tensor:
     def __neg__(self):
         out = Tensor._result(-self.data, (self,), None)
         if out.requires_grad:
-            def bw(g, a=self):
-                a.grad -= g
-            out._backward = bw
+            out._backward = lambda g: (-g,)
         return out
 
     def __sub__(self, other):
@@ -163,19 +160,12 @@ class Tensor:
         if isinstance(other, (int, float)):
             out = Tensor._result(self.data * other, (self,), None)
             if out.requires_grad:
-                def bw(g, a=self, c=other):
-                    a.grad += g * c
-                out._backward = bw
+                out._backward = lambda g, c=other: (g * c,)
             return out
         self._check_same_shape(other, "mul")
         out = Tensor._result(self.data * other.data, (self, other), None)
         if out.requires_grad:
-            def bw(g, a=self, b=other):
-                if a.requires_grad:
-                    a.grad += g * b.data
-                if b.requires_grad:
-                    b.grad += g * a.data
-            out._backward = bw
+            out._backward = lambda g, a=self, b=other: (g * b.data, g * a.data)
         return out
 
     __rmul__ = __mul__
@@ -185,9 +175,7 @@ class Tensor:
             raise ParameterError("power exponent must be a python scalar")
         out = Tensor._result(self.data ** p, (self,), None)
         if out.requires_grad:
-            def bw(g, a=self, p=p):
-                a.grad += g * p * a.data ** (p - 1)
-            out._backward = bw
+            out._backward = lambda g, a=self, p=p: (g * p * a.data ** (p - 1),)
         return out
 
     def __matmul__(self, other):
@@ -207,11 +195,13 @@ class Tensor:
         out = Tensor._result(self.data @ other.data, (self, other), None)
         if out.requires_grad:
             def bw(g, a=self, b=other):
+                ga = gb = None
                 if a.requires_grad:
-                    a.grad += (_sum_outer(g, b.data) if shared
-                               else g @ b.data.swapaxes(-1, -2))
+                    ga = (_sum_outer(g, b.data) if shared
+                          else g @ b.data.swapaxes(-1, -2))
                 if b.requires_grad:
-                    b.grad += a.data.swapaxes(-1, -2) @ g
+                    gb = a.data.swapaxes(-1, -2) @ g
+                return ga, gb
             out._backward = bw
         return out
 
@@ -220,18 +210,15 @@ class Tensor:
     def sum(self):
         out = Tensor._result(self.data.sum(), (self,), None)
         if out.requires_grad:
-            def bw(g, a=self):
-                a.grad += g
-            out._backward = bw
+            out._backward = lambda g, s=self.shape: (np.broadcast_to(g, s),)
         return out
 
     def mean(self):
         n = self.data.size
         out = Tensor._result(self.data.mean(), (self,), None)
         if out.requires_grad:
-            def bw(g, a=self, n=n):
-                a.grad += g / n
-            out._backward = bw
+            out._backward = lambda g, s=self.shape, n=n: (
+                np.broadcast_to(g / n, s),)
         return out
 
     def mean_axis(self, axis: int):
@@ -239,9 +226,8 @@ class Tensor:
         n = self.data.shape[axis]
         out = Tensor._result(self.data.mean(axis=axis), (self,), None)
         if out.requires_grad:
-            def bw(g, a=self, axis=axis, n=n):
-                a.grad += np.expand_dims(g, axis) / n
-            out._backward = bw
+            out._backward = lambda g, s=self.shape, axis=axis, n=n: (
+                np.broadcast_to(np.expand_dims(g, axis) / n, s),)
         return out
 
     def reshape(self, *shape):
@@ -250,18 +236,14 @@ class Tensor:
         old = self.shape
         out = Tensor._result(self.data.reshape(shape), (self,), None)
         if out.requires_grad:
-            def bw(g, a=self, old=old):
-                a.grad += g.reshape(old)
-            out._backward = bw
+            out._backward = lambda g, old=old: (g.reshape(old),)
         return out
 
     def transpose(self, axes=None):
         out = Tensor._result(self.data.transpose(axes), (self,), None)
         if out.requires_grad:
             inv = None if axes is None else np.argsort(axes)
-            def bw(g, a=self, inv=inv):
-                a.grad += g.transpose(inv)
-            out._backward = bw
+            out._backward = lambda g, inv=inv: (g.transpose(inv),)
         return out
 
     @property
@@ -278,7 +260,10 @@ class Tensor:
         out = Tensor._result(self.data[key], (self,), None)
         if out.requires_grad:
             def bw(g, a=self, key=key):
-                a.grad[key] += g
+                # np.add.at sums repeated indices, which ga[key] += g drops
+                ga = np.zeros_like(a.data)
+                np.add.at(ga, key, g)
+                return (ga,)
             out._backward = bw
         return out
 
@@ -288,43 +273,33 @@ class Tensor:
         y = np.tanh(self.data)
         out = Tensor._result(y, (self,), None)
         if out.requires_grad:
-            def bw(g, a=self, y=y):
-                a.grad += g * (1.0 - y * y)
-            out._backward = bw
+            out._backward = lambda g, y=y: (g * (1.0 - y * y),)
         return out
 
     def relu(self):
         # -0.0 maps to +0.0, NaN propagates; gradient at exactly 0 is 0
         out = Tensor._result(np.maximum(self.data, 0.0), (self,), None)
         if out.requires_grad:
-            def bw(g, a=self, mask=self.data > 0):
-                a.grad += g * mask
-            out._backward = bw
+            out._backward = lambda g, mask=self.data > 0: (g * mask,)
         return out
 
     def log(self):
         out = Tensor._result(np.log(self.data), (self,), None)
         if out.requires_grad:
-            def bw(g, a=self):
-                a.grad += g / a.data
-            out._backward = bw
+            out._backward = lambda g, a=self: (g / a.data,)
         return out
 
     def abs(self):
         out = Tensor._result(np.abs(self.data), (self,), None)
         if out.requires_grad:
-            def bw(g, a=self):
-                a.grad += g * np.sign(a.data)
-            out._backward = bw
+            out._backward = lambda g, a=self: (g * np.sign(a.data),)
         return out
 
     def clamp(self, lo: float, hi: float):
         inside = (self.data >= lo) & (self.data <= hi)
         out = Tensor._result(np.clip(self.data, lo, hi), (self,), None)
         if out.requires_grad:
-            def bw(g, a=self, inside=inside):
-                a.grad += g * inside
-            out._backward = bw
+            out._backward = lambda g, inside=inside: (g * inside,)
         return out
 
     def softmax_lastdim(self):
@@ -333,9 +308,9 @@ class Tensor:
         y = e / e.sum(axis=-1, keepdims=True)
         out = Tensor._result(y, (self,), None)
         if out.requires_grad:
-            def bw(g, a=self, y=y):
+            def bw(g, y=y):
                 dot = (g * y).sum(axis=-1, keepdims=True)
-                a.grad += y * (g - dot)
+                return (y * (g - dot),)
             out._backward = bw
         return out
 
@@ -346,9 +321,8 @@ class Tensor:
         out = Tensor._result(val, (self,), None)
         if out.requires_grad:
             soft = np.exp(self.data - m) / s
-            def bw(g, a=self, soft=soft):
-                a.grad += np.expand_dims(g, -1) * soft
-            out._backward = bw
+            out._backward = lambda g, soft=soft: (
+                np.expand_dims(g, -1) * soft,)
         return out
 
 
@@ -357,14 +331,8 @@ def concat(tensors, axis: int = 0) -> Tensor:
     sizes = [d.shape[axis] for d in datas]
     out = Tensor._result(np.concatenate(datas, axis=axis), tuple(tensors), None)
     if out.requires_grad:
-        def bw(g, tensors=tuple(tensors), sizes=sizes, axis=axis):
-            start = 0
-            for t, n in zip(tensors, sizes):
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(start, start + n)
-                if t.requires_grad:
-                    t.grad += g[tuple(sl)]
-                start += n
+        def bw(g, cuts=np.cumsum(sizes[:-1]), axis=axis):
+            return tuple(np.split(g, cuts, axis=axis))
         out._backward = bw
     return out
 
@@ -375,12 +343,8 @@ def scalar_scale(x: Tensor, s: Tensor) -> Tensor:
         raise ShapeError(f"scalar_scale: gate must be size 1, got {s.shape}")
     out = Tensor._result(x.data * s.data, (x, s), None)
     if out.requires_grad:
-        def bw(g, x=x, s=s):
-            if x.requires_grad:
-                x.grad += g * s.data
-            if s.requires_grad:
-                s.grad += np.sum(g * x.data).reshape(s.data.shape)
-        out._backward = bw
+        out._backward = lambda g, x=x, s=s: (
+            g * s.data, np.sum(g * x.data).reshape(s.data.shape))
     return out
 
 
@@ -389,9 +353,7 @@ def expand_axis(x: Tensor, axis: int, n: int) -> Tensor:
     data = np.repeat(np.expand_dims(x.data, axis), n, axis=axis)
     out = Tensor._result(data, (x,), None)
     if out.requires_grad:
-        def bw(g, a=x, axis=axis):
-            a.grad += g.sum(axis=axis)
-        out._backward = bw
+        out._backward = lambda g, axis=axis: (g.sum(axis=axis),)
     return out
 
 
@@ -399,15 +361,30 @@ def expand_axis(x: Tensor, axis: int, n: int) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every requires-grad tensor reachable from loss.
+    """Set ``grad`` on every requires-grad leaf reachable from loss.
 
-    Gradients of the touched subgraph are overwritten per call; calling
-    backward twice does not accumulate.
+    A leaf's gradient is zeroed in place, then every contribution is added
+    into it, so gradients are overwritten per call, not accumulated, and a
+    model's gradient stays a view of its flat buffer. Results keep
+    ``grad = None``: their gradients live in a table local to the call. A
+    result's first contribution is kept, later ones are summed in the
+    order their consumers run, and the entry is dropped once the result's
+    own backward has run.
+
+    Each result's ``_backward(g)`` returns one gradient per parent, of the
+    parent's shape, or None for a parent that needs none. It writes into
+    no ``.grad``, into no g and into no array it has returned; the only
+    in-place sum here is into an array this function allocated. A result's
+    gradient is kept C-contiguous, a copy when a contribution is a view
+    such as a transpose or a broadcast: numpy and BLAS may round a product
+    differently for another operand layout, so every closure gets one.
     """
     if loss.data.size != 1:
         raise ContractError(
             f"backward needs a scalar loss, got shape {loss.shape}"
         )
+    if not loss.requires_grad:
+        return
     # iterative topological sort
     topo: list[Tensor] = []
     visited: set[int] = set()
@@ -426,14 +403,46 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     for node in topo:
-        if node.grad is not None and node._backward is None:
-            node.grad.fill(0)       # a leaf; a model's grad is a view
-        else:
-            node.grad = np.zeros_like(node.data)
-    loss.grad = np.ones_like(loss.data)
+        if node._backward is None:          # a leaf
+            if node.grad is None:
+                node.grad = np.zeros_like(node.data)
+            else:
+                node.grad.fill(0)           # a model's grad is a view
+    seed = np.ones_like(loss.data)
+    if loss._backward is None:
+        loss.grad += seed
+        return
+    grads = {loss: seed}
+    owned: set[Tensor] = set()              # sums allocated here
     for node in reversed(topo):
-        if node._backward is not None:
-            node._backward(node.grad)
+        g = grads.pop(node, None)
+        if g is None:                       # a leaf, or no contribution
+            continue
+        parents = node._parents
+        contributions = node._backward(g)
+        if len(contributions) != len(parents):
+            raise ContractError(
+                f"backward: {len(contributions)} gradients for "
+                f"{len(parents)} parents")
+        for p, c in zip(parents, contributions):
+            if c is None or not p.requires_grad:
+                continue
+            if c.shape != p.data.shape:
+                raise ContractError(
+                    f"backward: gradient of shape {c.shape} for a tensor "
+                    f"of shape {p.data.shape}")
+            if p._backward is None:
+                p.grad += c
+                continue
+            c = np.asarray(c, dtype=p.data.dtype, order="C")
+            total = grads.get(p)
+            if total is None:
+                grads[p] = c
+            elif p in owned:
+                total += c
+            else:
+                grads[p] = total + c
+                owned.add(p)
 
 
 # -- layers ------------------------------------------------------------------
@@ -459,13 +468,11 @@ def linear(x: Tensor, W: Tensor, b: Tensor | None) -> Tensor:
     out = Tensor._result(y, parents, None)
     if out.requires_grad:
         def bw(g, x=x, W=W, b=b):
-            if x.requires_grad:
-                x.grad += g @ W.data.T
             g2 = g.reshape(-1, g.shape[-1])
-            if W.requires_grad:
-                W.grad += x.data.reshape(-1, W.data.shape[0]).T @ g2
-            if b is not None and b.requires_grad:
-                b.grad += g2.sum(0)
+            gx = g @ W.data.T if x.requires_grad else None
+            gw = (x.data.reshape(-1, W.data.shape[0]).T @ g2
+                  if W.requires_grad else None)
+            return (gx, gw) if b is None else (gx, gw, g2.sum(0))
         out._backward = bw
     return out
 
@@ -505,20 +512,24 @@ def _causal_taps(w, xd, shifts) -> np.ndarray:
     return y
 
 
-def _causal_taps_backward(g, x: Tensor, xd, kernel: Tensor, shifts) -> None:
-    """Add the kernel and input gradients of ``_causal_taps`` for output
-    gradient g, over the same tap slices; xd is x's data at forward time."""
+def _causal_taps_backward(g, x: Tensor, xd, kernel: Tensor, shifts):
+    """The input and kernel gradients of ``_causal_taps`` for output
+    gradient g, over the same tap slices; xd is x's data at forward time.
+    Each is None when its tensor needs no gradient."""
     T = xd.shape[-1]
+    gx = gk = None
     if kernel.requires_grad:
-        kernel.grad[:, :, 0] += _sum_outer(g, xd)
+        # a tap that sees only zero padding has a zero gradient
+        gk = np.zeros_like(kernel.data)
+        gk[:, :, 0] = _sum_outer(g, xd)
         for k, s in enumerate(shifts, 1):
-            kernel.grad[:, :, k] += _sum_outer(g[..., s:], xd[..., :T - s])
+            gk[:, :, k] = _sum_outer(g[..., s:], xd[..., :T - s])
     if x.requires_grad:
         w = kernel.data
         gx = w[:, :, 0].T @ g
         for k, s in enumerate(shifts, 1):
             gx[..., :T - s] += w[:, :, k].T @ g[..., s:]
-        x.grad += gx
+    return gx, gk
 
 
 def conv1d_causal(x: Tensor, kernel: Tensor, dilation: int = 1) -> Tensor:
@@ -537,7 +548,7 @@ def conv1d_causal(x: Tensor, kernel: Tensor, dilation: int = 1) -> Tensor:
     out = Tensor._result(_causal_taps(kernel.data, xd, shifts), (x, kernel), None)
     if out.requires_grad:
         def bw(g, x=x, xd=xd, kernel=kernel):
-            _causal_taps_backward(g, x, xd, kernel, shifts)
+            return _causal_taps_backward(g, x, xd, kernel, shifts)
         out._backward = bw
     return out
 
@@ -546,8 +557,8 @@ def causal_residual(h: Tensor, kernel: Tensor, dilation: int) -> Tensor:
     """``h + relu(conv1d_causal(h, kernel, dilation))`` as one tape node.
 
     h: (ch, T) or (B, ch, T), kernel: (ch, ch, K) -> h's shape. The values
-    and every gradient are bit for bit those of the op-by-op graph: the
-    backward adds g to h's gradient first, then the conv's input gradient
+    and every gradient are bit for bit those of the op-by-op graph when h
+    has no other consumer: h's gradient is g plus the conv's input gradient
     of ``g * mask``.
     """
     shifts = _check_causal(h, kernel, dilation, "causal_residual")
@@ -563,9 +574,10 @@ def causal_residual(h: Tensor, kernel: Tensor, dilation: int) -> Tensor:
     if out.requires_grad:
         # read before h is added into y in place below
         def bw(g, h=h, hd=hd, kernel=kernel, mask=y > 0):
-            if h.requires_grad:
-                h.grad += g
-            _causal_taps_backward(g * mask, h, hd, kernel, shifts)
+            gh, gk = _causal_taps_backward(g * mask, h, hd, kernel, shifts)
+            if gh is not None:
+                gh += g
+            return gh, gk
         out._backward = bw
     y += hd
     return out
@@ -594,12 +606,15 @@ def conv1d_strided(x: Tensor, kernel: Tensor, stride: int) -> Tensor:
     out = Tensor._result(y, (x, kernel), None)
     if out.requires_grad:
         def bw(g, x=x, kernel=kernel, s=stride, K=K, To=To):
+            gx = np.zeros_like(x.data) if x.requires_grad else None
+            gk = np.empty_like(kernel.data) if kernel.requires_grad else None
             for k in range(K):
                 sl = slice(k, k + s * To, s)
-                if kernel.requires_grad:
-                    kernel.grad[:, :, k] += _sum_outer(g, x.data[..., sl])
-                if x.requires_grad:
-                    x.grad[..., sl] += kernel.data[:, :, k].T @ g
+                if gk is not None:
+                    gk[:, :, k] = _sum_outer(g, x.data[..., sl])
+                if gx is not None:
+                    gx[..., sl] += kernel.data[:, :, k].T @ g
+            return gx, gk
         out._backward = bw
     return out
 
@@ -781,6 +796,7 @@ def conv3d(x: Tensor, kernel: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Te
     if out.requires_grad:
         def bw(g, x=x, kernel=kernel, xp=xp):
             g5 = g.reshape(N, co, To, Ho, Wo)
+            gx = gk = None
             if kernel.requires_grad:
                 # gk_a.T = S_a @ g.T: in this order the GEMM ran twice as fast
                 # at paper size as g @ S_a.T (2-vCPU Xeon VM, OpenBLAS)
@@ -790,8 +806,7 @@ def conv3d(x: Tensor, kernel: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Te
                     gc = g5[b0:b1, :, :, i0:i1].reshape(b1 - b0, 1, co, -1)
                     taps = _time_taps(cols, kt, st, To)
                     gkt += np.matmul(taps, gc.swapaxes(2, 3)).sum(0)
-                kernel.grad += gkt.reshape(kt, ci, kh, kw, co).transpose(
-                    4, 1, 0, 2, 3)
+                gk = gkt.reshape(kt, ci, kh, kw, co).transpose(4, 1, 0, 2, 3)
             if x.requires_grad:
                 # g dilated by the stride and padded by k-1: output i sits at
                 # k-1 + s*i. Its window from the padding offset on lines up
@@ -804,8 +819,9 @@ def conv3d(x: Tensor, kernel: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Te
                 gd = gd[:, :, pt: pt + T + kt - 1, ph: ph + H + kh - 1,
                         pw: pw + W + kw - 1]
                 wf = kernel.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-                x.grad += _conv3d_valid(gd, wf, (1, 1, 1), (T, H, W)).reshape(
+                gx = _conv3d_valid(gd, wf, (1, 1, 1), (T, H, W)).reshape(
                     x.shape)
+            return gx, gk
         out._backward = bw
     return out
 

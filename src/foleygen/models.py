@@ -667,9 +667,13 @@ def load_checkpoint(path, precision: str = "float64") -> Model:
     if len(payload) != 4 * model.flat.size:
         raise FormatError(f"{path}: {len(payload)} payload bytes, model "
                           f"expects {4 * model.flat.size}")
-    model.flat[...] = np.frombuffer(payload, dtype="<f4")
-    if not np.isfinite(model.flat).all():
-        name = next(name for name, t in model.params.items()
-                    if not np.isfinite(t.data).all())
+    raw = np.frombuffer(payload, dtype="<f4")
+    # checked before the cast: a signalling NaN warns when cast to float64
+    if not np.isfinite(raw).all():
+        cuts = np.cumsum([t.size for t in model.params.values()])[:-1]
+        name = next(name for name, part
+                    in zip(model.params, np.split(raw, cuts))
+                    if not np.isfinite(part).all())
         raise FormatError(f"{path}: tensor {name!r} holds NaN or inf")
+    model.flat[...] = raw
     return model

@@ -7,7 +7,8 @@ from xml.etree import ElementTree as ET
 
 import numpy as np
 
-from .errors import FormatError
+from .avio import AudioBuffer
+from .errors import FormatError, ParameterError
 
 _SVG = "http://www.w3.org/2000/svg"
 
@@ -37,9 +38,12 @@ def plot_waveform(csv_path, spf: int, out_svg, sample_rate: int = 8820) -> None:
     """Render both channels as polylines with a marker at every frame start.
 
     Markers sit at samples 0, spf, 2*spf, ...; len//spf markers total.
-    The x axis is labeled in both samples and seconds.
+    The x axis is labeled in both samples and seconds. The samples and the
+    rate must make a valid ``AudioBuffer``.
     """
-    wave = _read_waveform_csv(csv_path)
+    if spf < 1:
+        raise ParameterError(f"spf must be >= 1, got {spf}")
+    wave = AudioBuffer(_read_waveform_csv(csv_path), sample_rate).samples
     n = len(wave)
     width, height = 900.0, 300.0
     pad = 40.0

@@ -122,10 +122,13 @@ class TrainConfig(JsonConfig):
     checkpoint_interval: int = 50
 
     def __post_init__(self):
-        # learning rate 0 is allowed: it makes "no update" testable
-        if self.learning_rate < 0 or self.steps <= 0 or self.batch_size <= 0:
-            raise ParameterError("learning rate must be >= 0; "
-                                 "steps and batch size must be > 0")
+        # learning rate 0 is allowed: it makes "no update" testable. NaN
+        # fails this test too; it would write a checkpoint of NaNs
+        if not 0 <= self.learning_rate < np.inf:
+            raise ParameterError("TrainConfig.learning_rate must be a finite "
+                                 f"number >= 0, got {self.learning_rate}")
+        if self.steps <= 0 or self.batch_size <= 0:
+            raise ParameterError("steps and batch size must be > 0")
         if self.checkpoint_interval <= 0:
             raise ParameterError("checkpoint_interval must be > 0")
         if self.loss_kind not in LOSS_KINDS:
@@ -187,9 +190,10 @@ def train(model: Model, dataset: Dataset, cfg: TrainConfig,
         # The next windows are cut while this step's graph is alive, so they
         # sit above it on the heap, and releasing the graph leaves its memory
         # below them for the next step. Released on top of the heap instead,
-        # glibc returned the whole working set to the OS and a paper-size
-        # batch-4 step faulted it back in: ~20k minor faults and ~40 ms of
-        # system time per step (2-vCPU Xeon VM), against ~3k with this order.
+        # glibc returned the working set to the OS and the next step faulted
+        # it back in: a 2-step paper-size batch-4 train call took ~27k minor
+        # faults (wavenet; ~33k deep fusion) with the windows drawn at the
+        # top of the step, against ~17k (~21k) in this order (2-vCPU Xeon VM).
         batch = draw_batch() if step + 1 < cfg.steps else None
         del out, total
         if not np.isfinite(step_loss):

@@ -54,6 +54,10 @@ def write_clip(tmp_path, frames_u8, fps, name="clip"):
     return manifest
 
 
+# float32 0x7f810000: casting it to float64 raises the invalid flag
+SIGNALLING_NAN = b"\x00\x00\x81\x7f"
+
+
 class TestNonFiniteRejected:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_audio_buffer(self, bad):
@@ -96,6 +100,19 @@ class TestLoadWav:
         p.write_bytes(hdr + data)
         buf = load_wav(p)
         npt.assert_allclose(buf.samples, [[0.5, -0.25]])
+
+    @pytest.mark.parametrize("sample", [SIGNALLING_NAN, b"\x00\x00\x80\x7f"],
+                             ids=["signalling_nan", "inf"])
+    def test_non_finite_float32_wav(self, tmp_path, sample):
+        # a signalling NaN or inf, refused before any cast to float64
+        p = tmp_path / "f.wav"
+        data = np.array([0.5], dtype="<f4").tobytes() + sample
+        hdr = struct.pack(
+            "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(data), b"WAVE",
+            b"fmt ", 16, 3, 2, 100, 800, 8, 32, b"data", len(data))
+        p.write_bytes(hdr + data)
+        with pytest.raises(FormatError, match="f.wav: .*finite"):
+            load_wav(p)
 
     def test_malformed_header(self, tmp_path):
         p = tmp_path / "bad.wav"
@@ -380,6 +397,16 @@ class TestDataset:
         struct.pack_into("<d", raw, struct.calcsize("<4sIIIIIII"), frac)
         p.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
+            load_dataset(p)
+
+    def test_signalling_nan_audio_is_format_error(self, tmp_path):
+        p = tmp_path / "ds.bin"
+        save_dataset(make_dataset(), p)
+        raw = bytearray(p.read_bytes())
+        at = struct.calcsize("<4sIIIIIIId") + 4
+        raw[at: at + 4] = SIGNALLING_NAN
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=r"ds.bin: .*\[-1, 1\]"):
             load_dataset(p)
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, 3.5])

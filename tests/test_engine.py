@@ -1,6 +1,7 @@
 import itertools
 import math
 import threading
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -756,6 +757,47 @@ class TestBackward:
         unused = Tensor([5.0], requires_grad=True)
         backward((x * 3.0).sum())
         npt.assert_array_equal(unused.grad, [0.0])
+
+    def test_repeated_index_gradients_sum(self):
+        x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        backward(x[np.array([0, 0, 2])].sum())
+        npt.assert_array_equal(x.grad, [2.0, 0.0, 1.0])
+
+    def test_results_keep_no_grad(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        h = (x * 2.0).tanh()
+        y = h * h
+        loss = y.sum()
+        backward(loss)
+        assert h.grad is None and y.grad is None and loss.grad is None
+        npt.assert_allclose(x.grad, 4.0 * np.tanh(2.0 * x.data)
+                            * (1.0 - np.tanh(2.0 * x.data) ** 2))
+
+    def test_result_gradients_freed_as_the_pass_goes(self):
+        # 1 MiB leaf through 20 chained scalings: a zero-filled gradient
+        # per result would hold 20 MiB at once
+        y = x = Tensor(np.ones(1 << 17), requires_grad=True)
+        for _ in range(20):
+            y = y * 1.0001
+        loss = y.sum()
+        tracemalloc.start()
+        try:
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        npt.assert_allclose(x.grad, 1.0001 ** 20, rtol=1e-13)
+
+    @pytest.mark.parametrize("returned,match", [
+        (lambda g: (np.zeros(3),), r"shape \(3,\) .* shape \(2,\)"),
+        (lambda g: (g, g), "2 gradients for 1 parents"),
+    ])
+    def test_contract_violation_raises(self, returned, match):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = Tensor._result(x.data * 2.0, (x,), returned)
+        with pytest.raises(ContractError, match=match):
+            backward(y.sum())
 
 
 class TestGradCheck:

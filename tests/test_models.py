@@ -132,6 +132,9 @@ class TestConfigJson:
         '{"clip_norm": NaN}',
         '{"clip_norm": Infinity}',
         '{"clip_norm": -Infinity}',
+        '{"learning_rate": NaN}',
+        '{"learning_rate": Infinity}',
+        '{"learning_rate": -Infinity}',
     ])
     def test_wrong_typed_train_value(self, text):
         with pytest.raises(ParameterError, match="TrainConfig"):
@@ -637,6 +640,18 @@ class TestCheckpoint:
         p = tmp_path / "ckpt.bin"
         save_checkpoint(m, p)
         with pytest.raises(FormatError, match="'head_b'"):
+            load_checkpoint(p)
+
+    def test_refuses_signalling_nan(self, tmp_path):
+        m = build_model(tiny_config("wavenet"), seed=0)
+        p = tmp_path / "ckpt.bin"
+        save_checkpoint(m, p)
+        raw = bytearray(p.read_bytes())
+        # float32 0x7f810000 in the last tensor's last element
+        raw[-4:] = b"\x00\x00\x81\x7f"
+        p.write_bytes(bytes(raw))
+        last = list(m.params)[-1]
+        with pytest.raises(FormatError, match=f"'{last}' holds NaN or inf"):
             load_checkpoint(p)
 
     def test_trained_transformer_evaluates_the_same_after_reload(self,

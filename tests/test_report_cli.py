@@ -9,7 +9,7 @@ import pytest
 
 from foleygen import __version__, avio, cli, generation, training
 from foleygen.avio import AudioBuffer, load_dataset, load_wav
-from foleygen.errors import FormatError
+from foleygen.errors import FormatError, ParameterError
 from foleygen.generation import write_wav, write_waveform_csv
 from foleygen.report import format_loss, loss_table, plot_waveform
 from foleygen.models import build_model, load_checkpoint, save_checkpoint
@@ -120,6 +120,37 @@ class TestPlotWaveform:
         p.write_text("index,left,right\n0,0.1\n")
         with pytest.raises(FormatError):
             plot_waveform(p, 4, tmp_path / "o.svg")
+
+    @pytest.mark.parametrize("spf,rate", [(0, 12), (-2, 12), (4, 0), (4, -5)])
+    def test_bad_spf_or_rate_rejected(self, tmp_path, spf, rate):
+        out = tmp_path / "o.svg"
+        with pytest.raises(ParameterError):
+            plot_waveform(self._csv(tmp_path), spf, out, sample_rate=rate)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "5.0"])
+    def test_amplitude_outside_unit_range_rejected(self, tmp_path, value):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"index,left,right\n0,0.1,0.2\n1,{value},0.0\n")
+        out = tmp_path / "o.svg"
+        with pytest.raises(FormatError, match="amplitudes"):
+            plot_waveform(p, 1, out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--spf", "0"), ("--spf", "-2"), ("--rate", "0"), ("--rate", "-5"),
+    ])
+    def test_cli_bad_spf_or_rate_exit_code(self, tmp_path, capsys, flag,
+                                           value):
+        svg = tmp_path / "wave.svg"
+        args = {"--spf": "4", "--rate": "12", flag: value}
+        argv = ["plot", "--csv", str(self._csv(tmp_path)), "--out", str(svg)]
+        for name, v in args.items():
+            argv += [name, v]
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not svg.exists()
 
 
 # -- CLI end to end -----------------------------------------------------------
@@ -409,6 +440,9 @@ class TestCliPipeline:
         ("--config", '{"steps": 1, "clip_norm": 0}'),
         ("--config", '{"steps": 1, "clip_norm": NaN}'),
         ("--config", '{"steps": 1, "clip_norm": Infinity}'),
+        ("--config", '{"steps": 1, "learning_rate": NaN}'),
+        ("--config", '{"steps": 1, "learning_rate": Infinity}'),
+        ("--config", '{"steps": 1, "learning_rate": -Infinity}'),
     ])
     def test_bad_config_file_exit_code(self, tmp_path, capsys, flag, text):
         manifest = make_fixture(tmp_path)
