@@ -242,8 +242,6 @@ def resize_frames(v: VideoClip, h: int, w: int) -> VideoClip:
     if h < 1 or w < 1:
         raise ParameterError("target size must be >= 1 in both dimensions")
     f, c, hi, wi = v.frames.shape
-    if (hi, wi) == (h, w):
-        return VideoClip(frames=v.frames.copy(), frame_rate=v.frame_rate)
 
     def axis_weights(n_in, n_out):
         src = (np.arange(n_out) + 0.5) * n_in / n_out - 0.5
@@ -302,6 +300,10 @@ def sample_window(d: AlignedAV, frame_index: int, audio_ctx_len: int,
         raise BoundsError(f"frame_index {frame_index} out of range [0, {F})")
     if target_kind not in ("sample", "frame_sequence"):
         raise ParameterError(f"unknown target kind {target_kind!r}")
+    if audio_ctx_len < 0 or video_ctx_len < 0:
+        raise ParameterError(
+            f"context lengths must be >= 0, got audio {audio_ctx_len} and "
+            f"video {video_ctx_len}")
     if target_kind == "sample":
         if not 0 <= sample_offset < d.spf:
             raise BoundsError(

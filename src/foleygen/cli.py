@@ -3,8 +3,8 @@
 Subcommands: ingest, train, generate, eval, plot, selftest.
 Exit codes: 0 success, 2 validation/usage error, 1 internal error.
 Every produced artifact gets a JSON run-manifest sidecar, replaced whole,
-recording the package version, the command, seed, wall seconds, peak RSS
-and content hashes of its inputs; training also records its model and train
+recording the package version, the command, wall seconds, peak RSS and
+content hashes of its inputs; training also records its model and train
 configs, generation the checkpoint's model config and its real-time factor.
 """
 
@@ -35,7 +35,6 @@ _MODEL_FLAG = {
     "wavenet": "wavenet",
     "transformer": "transformer",
 }
-_CTX_FLAG = {"strided": "strided_embed", "raw": "raw_short"}
 
 OUT_DIR_ENV = "FOLEYGEN_OUT_DIR"
 
@@ -63,7 +62,6 @@ def _write_manifest(command: str, args, inputs, outputs, **extra) -> None:
         "version": __version__,
         "command": command,
         "argv": sys.argv[1:],
-        "seed": getattr(args, "seed", None),
         "seconds": time.perf_counter() - args.started,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "inputs": {str(p): _sha256(p) for p in inputs},
@@ -87,24 +85,29 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _check_geometry(cfg: models.ModelConfig, what: str, ds: avio.Dataset,
-                    ds_name: str) -> None:
-    """Refuse a model config whose spf or frame size differs from the data's."""
+def _geometry(ds: avio.Dataset) -> dict:
     _, _, h, w = ds.av.video.frames.shape
-    for key, have in (("spf", ds.av.spf), ("frame_h", h), ("frame_w", w)):
+    return {"spf": ds.av.spf, "frame_h": h, "frame_w": w}
+
+
+def _check_fields(cfg: models.ModelConfig, what: str, source: str,
+                  fixed: dict) -> None:
+    """Refuse a model config whose fields differ from those ``source`` fixes."""
+    for key, have in fixed.items():
         want = getattr(cfg, key)
         if want != have:
             raise ContractError(
-                f"{what} has {key} {want} but dataset {ds_name} has {key} {have}")
+                f"{what} has {key} {want} but {source} has {key} {have}")
 
 
 def _model_config_for(args, ds: avio.Dataset) -> models.ModelConfig:
     text = avio.read_input(args.model_config) if args.model_config else "{}"
-    _, _, h, w = ds.av.video.frames.shape
-    mc = models.ModelConfig.from_json(
-        text, kind=_MODEL_FLAG[args.model], ctx_mode=_CTX_FLAG[args.ctx_mode],
-        quantized=args.quantized, spf=ds.av.spf, frame_h=h, frame_w=w)
-    _check_geometry(mc, f"model config {args.model_config}", ds, args.dataset)
+    kind = {"kind": _MODEL_FLAG[args.model]}
+    geometry = _geometry(ds)
+    mc = models.ModelConfig.from_json(text, **kind, **geometry)
+    what = f"model config {args.model_config}"
+    _check_fields(mc, what, "--model", kind)
+    _check_fields(mc, what, f"dataset {args.dataset}", geometry)
     return mc
 
 
@@ -112,18 +115,14 @@ def _load_for_dataset(args):
     """Load checkpoint and dataset; refuse a model built for other data."""
     model = models.load_checkpoint(args.checkpoint, precision=args.precision)
     ds = avio.load_dataset(args.dataset)
-    _check_geometry(model.config, f"checkpoint {args.checkpoint}", ds,
-                    args.dataset)
+    _check_fields(model.config, f"checkpoint {args.checkpoint}",
+                  f"dataset {args.dataset}", _geometry(ds))
     return model, ds
 
 
 def _cmd_train(args) -> int:
     ds = avio.load_dataset(args.dataset)
     tc = training.TrainConfig.from_json(avio.read_input(args.config))
-    if args.seed is not None:
-        tc.seed = args.seed
-    if args.loss is not None:
-        tc.loss_kind = _LOSS_FLAG[args.loss]
     mc = _model_config_for(args, ds)
     model = models.build_model(mc, seed=tc.seed, precision=args.precision)
     out = _out_path(args.out)
@@ -186,7 +185,7 @@ def _cmd_selftest(args) -> int:
 
 
 def _add_precision(p):
-    p.add_argument("--precision", choices=["float64", "float32"],
+    p.add_argument("--precision", choices=models._PRECISIONS,
                    default="float64")
 
 
@@ -210,10 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", required=True, help="TrainConfig JSON file")
     sp.add_argument("--model", choices=sorted(_MODEL_FLAG), required=True)
     sp.add_argument("--model-config", help="ModelConfig JSON overrides")
-    sp.add_argument("--ctx-mode", choices=sorted(_CTX_FLAG), default="strided")
-    sp.add_argument("--quantized", action="store_true")
-    sp.add_argument("--loss", choices=sorted(_LOSS_FLAG))
-    sp.add_argument("--seed", type=int)
     sp.add_argument("--out", required=True)
     _add_precision(sp)
     sp.set_defaults(fn=_cmd_train)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .avio import AudioBuffer, VideoClip, left_context
 from .engine import Tensor, no_grad
-from .errors import ContractError
+from .errors import ContractError, ParameterError
 from .models import Model, dequantize
 
 
@@ -83,6 +83,8 @@ def frame_boundary_discontinuity(a: AudioBuffer, spf: int) -> float:
     over both channels. A score near 1 means boundaries are no rougher than
     the rest of the signal; large scores flag the per-frame stitching artifact.
     """
+    if spf < 1:
+        raise ParameterError(f"spf must be >= 1, got {spf}")
     x = a.samples
     if len(x) % spf != 0:
         raise ContractError(f"length {len(x)} not divisible by spf {spf}")

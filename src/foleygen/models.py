@@ -203,7 +203,8 @@ class ModelConfig(JsonConfig):
 def quantize(x):
     """Map amplitudes in [-1, 1] to bins in [0, 255] with half-up rounding."""
     arr = np.asarray(x, dtype=np.float64)
-    if arr.size and (arr.min() < -1.0 or arr.max() > 1.0):
+    # phrased so that NaN, which fails every comparison, is refused too
+    if arr.size and not (arr.min() >= -1.0 and arr.max() <= 1.0):
         raise RangeError("amplitude outside [-1, 1] cannot be quantized")
     bins = np.clip(np.floor((arr + 1.0) / 2.0 * 255.0 + 0.5), 0, 255)
     bins = bins.astype(np.int64)
@@ -212,7 +213,7 @@ def quantize(x):
 
 def dequantize(bins):
     arr = np.asarray(bins, dtype=np.float64)
-    if arr.size and (arr.min() < 0 or arr.max() > 255):
+    if arr.size and not (arr.min() >= 0 and arr.max() <= 255):
         raise RangeError("bin outside [0, 255]")
     out = 2.0 * arr / 255.0 - 1.0
     return out if arr.shape else float(out)
@@ -593,6 +594,8 @@ def _build(config: ModelConfig, rng, precision: str) -> Model:
 
 def build_model(config: ModelConfig, seed: int = 0,
                 precision: str = "float64") -> Model:
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     return _build(config, np.random.default_rng(seed), precision)
 
 

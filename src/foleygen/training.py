@@ -17,7 +17,7 @@ import numpy as np
 from .avio import Dataset, sample_window, stack_windows
 from .engine import Tensor, backward, no_grad
 from .errors import ContractError, ParameterError, ShapeError, TrainingDivergedError
-from .models import JsonConfig, Model, quantize, save_checkpoint
+from .models import JsonConfig, Model, _is_int, quantize, save_checkpoint
 
 LOSS_KINDS = ("mse", "mae", "xent_bernoulli", "xent_paper_literal",
               "xent_categorical")
@@ -131,6 +131,8 @@ class TrainConfig(JsonConfig):
             raise ParameterError("steps and batch size must be > 0")
         if self.checkpoint_interval <= 0:
             raise ParameterError("checkpoint_interval must be > 0")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.loss_kind not in LOSS_KINDS:
             raise ParameterError(f"unknown loss kind {self.loss_kind!r}")
         # NaN fails this test too; it would silently disable clipping
@@ -229,9 +231,10 @@ def evaluate(model: Model, dataset: Dataset, kind: str,
     Sample-mode models have one window per (frame, offset) pair;
     ``max_windows`` caps the count by striding deterministically.
     """
-    if max_windows is not None and max_windows < 1:
+    if max_windows is not None and not (_is_int(max_windows)
+                                        and max_windows >= 1):
         raise ParameterError(
-            f"max_windows must be at least 1, got {max_windows}")
+            f"max_windows must be an int >= 1, got {max_windows!r}")
     val_frames = list(dataset.val_frames())
     if not val_frames:
         raise ContractError("validation split is empty")

@@ -359,6 +359,13 @@ class TestSampleWindow:
         with pytest.raises(BoundsError):
             sample_window(d, 0, 4, 2, "sample", d.spf)
 
+    @pytest.mark.parametrize("audio_ctx_len,video_ctx_len", [(-1, 2), (4, -1)])
+    def test_negative_context_length_refused(self, audio_ctx_len,
+                                             video_ctx_len):
+        d = make_dataset().av
+        with pytest.raises(ParameterError, match="context"):
+            sample_window(d, 0, audio_ctx_len, video_ctx_len)
+
 
 class TestDataset:
     def test_save_load_round_trip(self, tmp_path):

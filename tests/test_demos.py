@@ -16,6 +16,8 @@ def test_demo_runs(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=300)
+    # pyproject's filterwarnings acts inside pytest only
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

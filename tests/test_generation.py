@@ -8,7 +8,7 @@ import pytest
 
 from foleygen import engine, generation, training
 from foleygen.avio import AudioBuffer, VideoClip, load_wav
-from foleygen.errors import ContractError
+from foleygen.errors import ContractError, ParameterError
 from foleygen.generation import (
     frame_boundary_discontinuity,
     generate,
@@ -240,6 +240,12 @@ class TestDiscontinuityMetric:
         buf = AudioBuffer(samples=np.zeros((10, 2)), sample_rate=4)
         with pytest.raises(ContractError):
             frame_boundary_discontinuity(buf, 4)
+
+    @pytest.mark.parametrize("spf", [0, -1])
+    def test_spf_below_one_refused(self, spf):
+        buf = AudioBuffer(samples=np.zeros((8, 2)), sample_rate=4)
+        with pytest.raises(ParameterError, match="spf"):
+            frame_boundary_discontinuity(buf, spf)
 
 
 class TestWaveformCsv:

@@ -179,6 +179,16 @@ class TestQuantize:
         with pytest.raises(RangeError):
             dequantize(300)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused(self, value):
+        # NaN fails every comparison, so a range check must be phrased to
+        # fail on it
+        for fn in (quantize, dequantize):
+            with pytest.raises(RangeError):
+                fn(value)
+            with pytest.raises(RangeError):
+                fn(np.array([0.0, value]))
+
 
 class TestDeepFusion:
     def test_output_shape(self):
@@ -423,6 +433,10 @@ class TestParamCount:
     @pytest.mark.parametrize("kind", ["deep_fusion", "wavenet", "transformer"])
     def test_tiny_configs_stay_small(self, kind):
         assert build_model(tiny_config(kind), seed=0).param_count() < 5000
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ParameterError, match="seed"):
+            build_model(tiny_config("wavenet"), seed=-1)
 
 
 def reachable_tensors(obj) -> list:

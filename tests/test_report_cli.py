@@ -1,4 +1,5 @@
 import json
+import re
 import resource
 import struct
 from pathlib import Path
@@ -510,16 +511,91 @@ class TestCliPipeline:
 
     def test_train_refuses_quantized_wavenet(self, tmp_path, capsys):
         ds_path, _ = run_pipeline(tmp_path, steps=1)
+        (tmp_path / "model.json").write_text(
+            json.dumps({**TINY_WAVENET, "quantized": True}))
         out = tmp_path / "q.bin"
         capsys.readouterr()
         assert cli.main(["train", "--dataset", str(ds_path),
                          "--config", str(tmp_path / "train.json"),
-                         "--model", "wavenet", "--quantized",
+                         "--model", "wavenet",
                          "--model-config", str(tmp_path / "model.json"),
                          "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "quantized" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind,rc", [("wavenet", 0), ("transformer", 2)])
+    def test_model_config_kind_must_be_the_model_flag(self, tmp_path, capsys,
+                                                      kind, rc):
+        ds_path, _ = run_pipeline(tmp_path, steps=1)
+        (tmp_path / "model.json").write_text(json.dumps(
+            {**TINY_WAVENET, "kind": kind, "ctx_mode": "raw_short"}))
+        out = tmp_path / "k.bin"
+        capsys.readouterr()
+        assert cli.main(["train", "--dataset", str(ds_path),
+                         "--config", str(tmp_path / "train.json"),
+                         "--model", "wavenet",
+                         "--model-config", str(tmp_path / "model.json"),
+                         "--out", str(out)]) == rc
+        if rc == 2:
+            err = capsys.readouterr().err
+            assert "kind transformer" in err and "kind wavenet" in err
+            assert err.startswith("error: ")
+        sidecar = Path(f"{out}.manifest.json")
+        assert out.exists() == sidecar.exists() == (rc == 0)
+
+    def test_negative_seed_in_train_config_refused(self, tmp_path, capsys):
+        ds_path, _ = run_pipeline(tmp_path, steps=1)
+        (tmp_path / "train.json").write_text(
+            json.dumps({"steps": 1, "seed": -3}))
+        out = tmp_path / "s.bin"
+        capsys.readouterr()
+        assert cli.main(["train", "--dataset", str(ds_path),
+                         "--config", str(tmp_path / "train.json"),
+                         "--model", "wavenet",
+                         "--model-config", str(tmp_path / "model.json"),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [
+        ["--ctx-mode", "strided"], ["--quantized"], ["--loss", "mse"],
+        ["--seed", "1"],
+    ], ids=lambda flag: flag[0])
+    def test_train_has_no_flag_for_a_config_field(self, tmp_path, flag):
+        # the settings come from --config and --model-config alone
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--dataset", "d.bin", "--config", "t.json",
+                      "--model", "wavenet", "--out", str(tmp_path / "m.bin"),
+                      *flag])
+        assert exc.value.code == 2
+        assert not (tmp_path / "m.bin").exists()
+
+    def test_train_options(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "-h"])
+        assert exc.value.code == 0
+        assert set(re.findall(r"--[\w-]+", capsys.readouterr().out)) == {
+            "--help", "--dataset", "--config", "--model", "--model-config",
+            "--out", "--precision"}
+
+    def test_no_sidecar_records_a_seed_key(self, tmp_path):
+        # the seed a run used is its train config's
+        ds_path, ckpt = run_pipeline(tmp_path, seed=5)
+        wav, csv_path, svg = (tmp_path / n for n in ("out.wav", "out.csv",
+                                                     "out.svg"))
+        assert cli.main(["generate", "--checkpoint", str(ckpt),
+                         "--dataset", str(ds_path), "--out", str(wav),
+                         "--csv", str(csv_path), "--frames", "1"]) == 0
+        assert cli.main(["plot", "--csv", str(csv_path), "--spf", "4",
+                         "--rate", "20", "--out", str(svg)]) == 0
+        sides = [json.loads(Path(f"{p}.manifest.json").read_text())
+                 for p in (ds_path, ckpt, wav, svg)]
+        assert [s["command"] for s in sides] == [
+            "ingest", "train", "generate", "plot"]
+        assert not any("seed" in s for s in sides)
+        assert sides[1]["train_config"]["seed"] == 5
 
     @pytest.mark.parametrize("command", ["generate", "eval"])
     @pytest.mark.parametrize("missing", ["checkpoint", "dataset"])

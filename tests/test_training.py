@@ -114,6 +114,10 @@ class TestTrainLoop:
         base.update(kw)
         return TrainConfig(**base)
 
+    def test_negative_seed_refused(self):
+        with pytest.raises(ParameterError, match="seed"):
+            self._config(seed=-3)
+
     def test_zero_learning_rate_keeps_params(self):
         ds = make_dataset(frames=8, spf=4)
         model = build_model(tiny_config("wavenet"), seed=0)
@@ -333,6 +337,13 @@ class TestEvaluate:
         with pytest.raises(ParameterError, match="max_windows"):
             evaluate(model, ds, "mse", max_windows=max_windows)
 
+    @pytest.mark.parametrize("max_windows", [1.5, "2"])
+    def test_max_windows_not_an_int_refused(self, max_windows):
+        ds = make_dataset(frames=8, spf=4)
+        model = build_model(tiny_config("wavenet"), seed=7)
+        with pytest.raises(ParameterError, match="max_windows"):
+            evaluate(model, ds, "mse", max_windows=max_windows)
+
     def test_sequence_mode(self):
         ds = make_dataset(frames=8, spf=4)
         model = build_model(tiny_config("deep_fusion"), seed=10)
@@ -394,8 +405,10 @@ class TestBlasThreadDeterminism:
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                        OMP_NUM_THREADS=threads, PYTHONPATH=path)
-            proc = subprocess.run([sys.executable, "-c", _BLAS_CHILD], env=env,
-                                  capture_output=True, text=True, timeout=300)
+            proc = subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", "-c",
+                 _BLAS_CHILD],
+                env=env, capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, proc.stderr
             runs.append(json.loads(proc.stdout.splitlines()[-1]))
         assert set(runs[0]) == {"wavenet", "transformer", "conv3d"}
