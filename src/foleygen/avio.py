@@ -11,6 +11,7 @@ A one-line ffmpeg transcode produces both from any source container:
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import struct
 from contextlib import contextmanager
@@ -27,6 +28,11 @@ from .errors import (
     ParameterError,
     UnsupportedError,
 )
+
+
+def _is_int(v) -> bool:
+    """An int or numpy integer; a bool is not one."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass
@@ -239,8 +245,9 @@ def downsample_audio(a: AudioBuffer, target_rate: int) -> AudioBuffer:
 
 def resize_frames(v: VideoClip, h: int, w: int) -> VideoClip:
     """Bilinear per-frame resize with half-pixel sample centers."""
-    if h < 1 or w < 1:
-        raise ParameterError("target size must be >= 1 in both dimensions")
+    if not (_is_int(h) and _is_int(w)) or h < 1 or w < 1:
+        raise ParameterError(
+            f"target size must be ints >= 1, got {h!r} x {w!r}")
     f, c, hi, wi = v.frames.shape
 
     def axis_weights(n_in, n_out):
@@ -295,6 +302,12 @@ def sample_window(d: AlignedAV, frame_index: int, audio_ctx_len: int,
     the target position; the video context holds frames
     [frame_index - n + 1 .. frame_index]. Missing history is zero padding.
     """
+    for name, v in (("frame_index", frame_index),
+                    ("audio_ctx_len", audio_ctx_len),
+                    ("video_ctx_len", video_ctx_len),
+                    ("sample_offset", sample_offset)):
+        if not _is_int(v):
+            raise ParameterError(f"{name} must be an int, got {v!r}")
     F = d.video.frame_count
     if not 0 <= frame_index < F:
         raise BoundsError(f"frame_index {frame_index} out of range [0, {F})")

@@ -617,14 +617,15 @@ def conv1d_strided(x: Tensor, kernel: Tensor, stride: int) -> Tensor:
 
 
 # Byte budget of one column buffer (see conv3d for why it is capped).
-_COL_BUDGET_BYTES = 4 << 20
+_COL_BUDGET_BYTES = 8 << 20
 
 _workspace = threading.local()
 
 
 def _col_buffer(n: int, dt, slot: str = "cols") -> np.ndarray:
-    """A reusable n-element scratch array for conv3d: its columns, or its
-    per-tap GEMM outputs (slot "gemm").
+    """A reusable n-element scratch array for conv3d: its columns or the
+    kernel gradient's padded output gradient, or its per-tap GEMM outputs
+    (slot "gemm").
 
     A fresh 4-MB array per chunk has its pages faulted in by the kernel
     every time: ~7k page faults and ~15 ms of system time per paper-size
@@ -643,7 +644,7 @@ def _col_buffer(n: int, dt, slot: str = "cols") -> np.ndarray:
 
 def _spatial_col_chunks(xp, ks, stride, out_shape):
     """Yield (b0, b1, i0, i1, cols) covering items [0, N) x output rows
-    [0, Ho) of a valid conv over xp (N, ci, Tp, Hp, Wp).
+    [0, Ho) of a valid conv over the C-contiguous xp (N, ci, Tp, Hp, Wp).
 
     ``cols`` is (b1-b0, ci*kh*kw, Tu, (i1-i0)*Wo), where Tu = kt + st*(To-1)
     is the number of padded time steps the conv reads: row (c, b, d) at time
@@ -662,9 +663,8 @@ def _spatial_col_chunks(xp, ks, stride, out_shape):
     Tu = kt + st * (To - 1)
     sn, sc, s_t, s_h, s_w = xp.strides
     # (N, ci, kh, kw, Tu, Ho, Wo): spatial tap (b, d) of output (i, j) at t
-    win = np.lib.stride_tricks.as_strided(
-        xp, (N, ci, kh, kw, Tu, Ho, Wo),
-        (sn, sc, s_h, s_w, s_t, sh * s_h, sw * s_w), writeable=False)
+    win = np.ndarray((N, ci, kh, kw, Tu, Ho, Wo), xp.dtype, xp, 0,
+                     (sn, sc, s_h, s_w, s_t, sh * s_h, sw * s_w))
     fit = max(1, _COL_BUDGET_BYTES // (ci * kh * kw * Tu * Wo * xp.itemsize))
     if fit >= Ho:
         nb, rows = max(1, min(N, fit // Ho)), Ho
@@ -694,8 +694,8 @@ def _time_taps(cols, kt, st, To):
 
 
 def _conv3d_valid(xp, kernel, stride, out_shape):
-    """Unpadded cross-correlation of xp (N, ci, ...) with the kernel array
-    (co, ci, kt, kh, kw): (N, co, To, Ho, Wo)."""
+    """Unpadded cross-correlation of the C-contiguous xp (N, ci, ...) with
+    the kernel array (co, ci, kt, kh, kw): (N, co, To, Ho, Wo)."""
     co, ci, kt, kh, kw = kernel.shape
     To, Ho, Wo = out_shape
     # w[a] is time tap a as (co, ci*kh*kw), rows ordered as the columns
@@ -711,6 +711,37 @@ def _conv3d_valid(xp, kernel, stride, out_shape):
         np.matmul(w, taps, out=z.reshape(nb, kt, co, -1))
         z.reshape(nb, kt, co, To, rows, Wo).sum(1, out=y[b0:b1, :, :, i0:i1])
     return y
+
+
+def _conv3d_kernel_grad(xp, g, ks, stride):
+    """Gradient (co, ci, kt, kh, kw) of a valid conv over the C-contiguous
+    xp (N, ci, Tp, Hp, Wp) for the output gradient g (N, co, To, Ho, Wo),
+    summed over the items.
+
+    g is laid out on xp's flat padded grid, zeros elsewhere: gp[n, o, p]
+    holds g[n, o, t, i, j] at p = st*t*Hp*Wp + sh*i*Wp + sw*j, p < L. Tap
+    (a, b, d) then reads xp at p + off, off = a*Hp*Wp + b*Wp + d, so its
+    gradient is gp[n] @ xp[n, :, off:off + L].T, one shifted dot product
+    per (o, c) and no lowered columns. off + L never passes the end of xp.
+    """
+    N, ci = xp.shape[:2]
+    co, To, Ho, Wo = g.shape[1:]
+    kt, kh, kw = ks
+    st, sh, sw = stride
+    Hp, Wp = xp.shape[3:]
+    L = st * (To - 1) * Hp * Wp + sh * (Ho - 1) * Wp + sw * (Wo - 1) + 1
+    gp = _col_buffer(N * co * L, g.dtype)
+    gp.fill(0)
+    e = gp.itemsize
+    np.ndarray((N, co, To, Ho, Wo), gp.dtype, gp, 0,
+               (co * L * e, L * e, st * Hp * Wp * e, sh * Wp * e,
+                sw * e))[...] = g
+    # (N, kt, kh, kw, L, ci): tap (a, b, d) of item n as an (L, ci) matrix
+    sn, sc, s_t, s_h, s_w = xp.strides
+    taps = np.ndarray((N, kt, kh, kw, L, ci), xp.dtype, xp, 0,
+                      (sn, s_t, s_h, s_w, s_w, sc))
+    gk = np.matmul(gp.reshape(N, 1, 1, 1, co, L), taps).sum(0)
+    return gk.transpose(3, 4, 0, 1, 2)
 
 
 def _triple(v, name: str, lo: int) -> tuple:
@@ -740,9 +771,12 @@ def conv3d(x: Tensor, kernel: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Te
     as (co, ci*kH*kW). Then:
 
       * forward:         y    = sum_a W_a @ S_a(xp)
-      * kernel gradient: gk_a = g @ S_a(xp).T summed over items, computed
-        as its transpose S_a @ g.T, with the columns rebuilt in backward
-        rather than kept on the tape
+      * kernel gradient: no columns (kn2row, Vasudevan et al., 2017,
+        arXiv:1704.04428, applied to the weight gradient). g is placed on
+        xp's flat padded grid, zeros between its entries, and each of the
+        kT*kH*kW taps is one GEMM of it with xp shifted by the tap's flat
+        offset: co*ci dot products of length ~Tp*Hp*Wp per tap and item
+        (``_conv3d_kernel_grad``)
       * input gradient:  the full correlation of g, dilated by the stride
         (stride-1 zeros between entries) and padded by k-1, with the
         kernel flipped in all three taps and transposed to (ci, co, ...),
@@ -750,24 +784,28 @@ def conv3d(x: Tensor, kernel: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Te
 
     The 27-tap im2col layout copies ci*kT*kH*kW*To*Ho*Wo elements per item;
     this one copies ci*kH*kW*Tp*Ho*Wo, half as many for the models' 3x3x3
-    kernel over 4 frames (To = 4, Tp = 6).
+    kernel over 4 frames (To = 4, Tp = 6). A forward plus backward lowers
+    columns twice: once for y and once for the input gradient.
 
-    The column buffer is bounded by ``_COL_BUDGET_BYTES`` (4 MiB): it holds
+    The column buffer is bounded by ``_COL_BUDGET_BYTES`` (8 MiB): it holds
     the whole batch when it fits, runs of whole items when one item fits,
     and runs of one item's output rows otherwise. At paper size (8 ch x 4 x
-    36 x 64) that is 18 rows, 3.98 MB, two chunks per item. Time is not
-    split, as a split would copy the kT-1 halo steps again. The bound keeps
-    peak RSS down: a full-volume buffer at paper size raised the peak RSS
-    of the paper-size wavenet and deep-fusion benchmark workloads by
-    11-12%. Besides the buffer, each chunk's GEMMs return kT outputs before
-    their sum (0.9 MB per chunk at paper size).
+    36 x 64) one item's columns are 7.6 MiB, so each item is one chunk and
+    runs kT GEMMs; at 4 MiB it took two half-height chunks and twice the
+    GEMMs. Time is not split, as a split would copy the kT-1 halo steps
+    again. The bound keeps peak RSS down: a full-volume buffer at paper
+    size raised the peak RSS of the paper-size wavenet and deep-fusion
+    benchmark workloads by 11-12%. Besides the buffer, each chunk's GEMMs
+    return kT outputs before their sum (1.8 MB per chunk at paper size).
+    The kernel gradient's padded g (N*co*L elements, 2.5 MB at batch 4)
+    reuses the column buffer, which it no longer needs for columns.
     """
     if x.data.ndim not in (4, 5) or kernel.data.ndim != 5:
         raise ShapeError(
             f"conv3d: x {x.shape} must be 4-D or 5-D, kernel {kernel.shape} "
             "must be 5-D"
         )
-    st, sh, sw = stride = _triple(stride, "stride", 1)
+    stride = _triple(stride, "stride", 1)
     pt, ph, pw = padding = _triple(padding, "padding", 0)
     co, ci, kt, kh, kw = kernel.shape
     if x.shape[-4] != ci:
@@ -795,26 +833,22 @@ def conv3d(x: Tensor, kernel: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Te
             g5 = g.reshape(N, co, To, Ho, Wo)
             gx = gk = None
             if kernel.requires_grad:
-                # gk_a.T = S_a @ g.T: in this order the GEMM ran twice as fast
-                # at paper size as g @ S_a.T (2-vCPU Xeon VM, OpenBLAS)
-                gkt = np.zeros((kt, ci * kh * kw, co), dtype=g.dtype)
-                for b0, b1, i0, i1, cols in _spatial_col_chunks(xp, ks, stride,
-                                                                outs):
-                    gc = g5[b0:b1, :, :, i0:i1].reshape(b1 - b0, 1, co, -1)
-                    taps = _time_taps(cols, kt, st, To)
-                    gkt += np.matmul(taps, gc.swapaxes(2, 3)).sum(0)
-                gk = gkt.reshape(kt, ci, kh, kw, co).transpose(4, 1, 0, 2, 3)
+                gk = _conv3d_kernel_grad(xp, g5, ks, stride)
             if x.requires_grad:
-                # g dilated by the stride and padded by k-1: output i sits at
-                # k-1 + s*i. Its window from the padding offset on lines up
-                # with x, so a valid correlation over it yields x's gradient.
-                gd = np.zeros((N, co, T + 2 * pt + kt - 1, H + 2 * ph + kh - 1,
-                               W + 2 * pw + kw - 1), dtype=g.dtype)
-                gd[:, :, kt - 1: kt - 1 + st * To: st,
-                   kh - 1: kh - 1 + sh * Ho: sh,
-                   kw - 1: kw - 1 + sw * Wo: sw] = g5
-                gd = gd[:, :, pt: pt + T + kt - 1, ph: ph + H + kh - 1,
-                        pw: pw + W + kw - 1]
+                # g dilated by the stride and padded by k-1-p, cut to the
+                # extent k-1+n that lines up with x: output i sits at
+                # k-1-p + s*i, and the outputs that fall outside it read only
+                # padding. A valid correlation over it yields x's gradient.
+                gd = np.zeros((N, co, T + kt - 1, H + kh - 1, W + kw - 1),
+                              dtype=g.dtype)
+                src, dst = [slice(None)] * 2, [slice(None)] * 2
+                for n, k, s, p, o in zip((T, H, W), ks, stride, padding, outs):
+                    i0 = max(0, -((k - 1 - p) // s))
+                    i1 = min(o, (n + p - 1) // s + 1)
+                    q = k - 1 - p + s * i0
+                    src.append(slice(i0, i1))
+                    dst.append(slice(q, q + s * (i1 - i0), s))
+                gd[tuple(dst)] = g5[tuple(src)]
                 wf = kernel.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
                 gx = _conv3d_valid(gd, wf, (1, 1, 1), (T, H, W)).reshape(
                     x.shape)

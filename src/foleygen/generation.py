@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .avio import AudioBuffer, VideoClip, left_context
+from .avio import AudioBuffer, VideoClip, _is_int, left_context
 from .engine import Tensor, no_grad
 from .errors import ContractError, ParameterError
 from .models import Model, dequantize
@@ -22,6 +22,9 @@ from .models import Model, dequantize
 def generate(model: Model, video: VideoClip, total_frames: int | None = None) -> AudioBuffer:
     """Generate audio for a clip; output length is total_frames * spf."""
     cfg = model.config
+    if total_frames is not None and not _is_int(total_frames):
+        raise ParameterError(
+            f"total_frames must be an int or None, got {total_frames!r}")
     frames = video.frame_count if total_frames is None else total_frames
     if frames < 1:
         raise ContractError("need at least one frame to generate for")

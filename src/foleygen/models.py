@@ -17,7 +17,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .avio import read_input, replacing_file
+from .avio import _is_int, read_input, replacing_file
 from .crossmodal import (
     ProjectionParams,
     ResBlock3DParams,
@@ -52,12 +52,8 @@ MODEL_KINDS = ("deep_fusion", "wavenet", "transformer")
 _PRECISIONS = {"float64": np.float64, "float32": np.float32}
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _check_type(name: str, value, hint) -> None:
-    """Refuse a JSON value that does not fit the field type ``hint``."""
+    """Refuse a config value that does not fit the field type ``hint``."""
     if value is None and type(None) in typing.get_args(hint):
         return
     base = next((t for t in typing.get_args(hint) if t is not type(None)), hint)
@@ -594,8 +590,8 @@ def _build(config: ModelConfig, rng, precision: str) -> Model:
 
 def build_model(config: ModelConfig, seed: int = 0,
                 precision: str = "float64") -> Model:
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    if not _is_int(seed) or seed < 0:
+        raise ParameterError(f"seed must be an int >= 0, got {seed!r}")
     return _build(config, np.random.default_rng(seed), precision)
 
 

@@ -268,6 +268,13 @@ class TestResize:
         out = resize_frames(v, 8, 8)
         npt.assert_array_equal(out.frames, np.zeros((2, 3, 8, 8)))
 
+    @pytest.mark.parametrize("h, w", [(2.5, 3), (3, 2.5), (True, 3),
+                                      (3, "3")])
+    def test_non_int_size_refused(self, h, w):
+        v = VideoClip(frames=np.zeros((2, 3, 4, 4)), frame_rate=10)
+        with pytest.raises(ParameterError, match="size"):
+            resize_frames(v, h, w)
+
 
 class TestAlign:
     def test_spf_from_rates(self):
@@ -365,6 +372,22 @@ class TestSampleWindow:
         d = make_dataset().av
         with pytest.raises(ParameterError, match="context"):
             sample_window(d, 0, audio_ctx_len, video_ctx_len)
+
+    @pytest.mark.parametrize("args", [
+        (1.5, 4, 2), (1, 2.5, 2), (1, 4, 2.5), (True, 4, 2),
+        (1, 4, 2, "sample", 0.5), (1, 4, 2, "sample", "1")])
+    def test_non_int_index_or_length_refused(self, args):
+        d = make_dataset().av
+        with pytest.raises(ParameterError):
+            sample_window(d, *args)
+
+    def test_numpy_int_index_accepted(self):
+        d = make_dataset(frames=4, spf=4).av
+        a = sample_window(d, np.int64(2), np.int64(3), 2, "sample",
+                          np.int64(1))
+        b = sample_window(d, 2, 3, 2, "sample", 1)
+        npt.assert_array_equal(a.audio_ctx, b.audio_ctx)
+        npt.assert_array_equal(a.target, b.target)
 
 
 class TestDataset:

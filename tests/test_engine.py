@@ -343,29 +343,79 @@ class TestConv3dIm2col:
                 npt.assert_allclose(a, r, rtol=0, atol=1e-12,
                                     err_msg=f"{name} at stride {stride}")
 
-    def test_paper_size_split_path(self):
-        # 8 ch x (4, 36, 64) with a 3x3x3 kernel: one item's spatial columns
-        # (8 MB) are over the budget, so they are built in runs of rows
+    def test_paper_size_split_path(self, monkeypatch):
+        # 8 ch x (4, 36, 64) with a 3x3x3 kernel, padded by 1
+        xp = np.zeros((2, 8, 6, 38, 66))
+
+        def chunks():
+            return [(b0, b1, i0, i1, cols.nbytes, cols.size)
+                    for b0, b1, i0, i1, cols in engine._spatial_col_chunks(
+                        xp, (3, 3, 3), (1, 1, 1), (4, 36, 64))]
+
+        # one item's spatial columns (7.6 MiB) fit the default budget: each
+        # item is one chunk of all 36 output rows
+        whole = chunks()
+        assert [c[:4] for c in whole] == [(0, 1, 0, 36), (1, 2, 0, 36)]
+        assert all(c[4] <= engine._COL_BUDGET_BYTES for c in whole)
+        # ci*kh*kw x Tp x Ho*Wo elements: half the 27-tap columns
+        # (ci*kt*kh*kw x To x Ho*Wo)
+        assert all(2 * c[5] == 8 * 27 * 4 * 36 * 64 for c in whole)
+        # at 4 MiB they are over the budget, so they are built in runs of
+        # 18 output rows, item after item
+        monkeypatch.setattr(engine, "_COL_BUDGET_BYTES", 4 << 20)
+        rows = chunks()
+        assert [c[:4] for c in rows] == [
+            (b, b + 1, i, i + 18) for b in range(2) for i in (0, 18)]
+        assert all(c[4] <= 4 << 20 for c in rows)
+        assert all(c[5] == 8 * 9 * 6 * 18 * 64 for c in rows)
+
+    @pytest.mark.parametrize("budget", ["default", "4_mib"])
+    def test_paper_size_matches_per_tap(self, budget, monkeypatch):
+        if budget == "4_mib":
+            monkeypatch.setattr(engine, "_COL_BUDGET_BYTES", 4 << 20)
         rng = np.random.default_rng(36)
         x = rng.uniform(-1, 1, (8, 4, 36, 64))
         k = rng.uniform(-1, 1, (8, 8, 3, 3, 3))
         g = rng.uniform(-1, 1, (8, 4, 36, 64))
-        xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (1, 1)))
-        chunks = [(b0, b1, i0, i1, cols.nbytes, cols.size)
-                  for b0, b1, i0, i1, cols in engine._spatial_col_chunks(
-                      np.stack([xp, xp]), (3, 3, 3), (1, 1, 1), (4, 36, 64))]
-        # 18 output rows of one item per chunk, item after item
-        assert [c[:4] for c in chunks] == [
-            (b, b + 1, i, i + 18) for b in range(2) for i in (0, 18)]
-        assert all(c[4] <= engine._COL_BUDGET_BYTES for c in chunks)
-        # ci*kh*kw x Tp x rows*Wo elements: half the 27-tap columns
-        # (ci*kt*kh*kw x To x rows*Wo) of the same rows
-        assert all(c[5] == 8 * 9 * 6 * 18 * 64 for c in chunks)
-        assert all(2 * c[5] == 8 * 27 * 4 * 18 * 64 for c in chunks)
         ref = conv3d_per_tap(x, k, g, (1, 1, 1), (1, 1, 1))
         got = conv3d_with_grads(x, k, g, (1, 1, 1), (1, 1, 1))
-        for r, a in zip(ref, got):
-            npt.assert_allclose(a, r, rtol=0, atol=1e-10)
+        for name, r, a in zip(("y", "grad x", "grad kernel"), ref, got):
+            npt.assert_allclose(a, r, rtol=0, atol=1e-10, err_msg=name)
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_paper_size_budget_keeps_bytes(self, batch, monkeypatch):
+        # whole-item chunks give the same y and input gradient, bit for
+        # bit, as the half-height chunks of a 4-MiB budget
+        rng = np.random.default_rng(39)
+        x = rng.uniform(-1, 1, (batch, 8, 4, 36, 64))
+        k = rng.uniform(-1, 1, (8, 8, 3, 3, 3))
+        g = rng.uniform(-1, 1, (batch, 8, 4, 36, 64))
+        y, gx, _ = conv3d_with_grads(x, k, g, (1, 1, 1), (1, 1, 1))
+        monkeypatch.setattr(engine, "_COL_BUDGET_BYTES", 4 << 20)
+        y4, gx4, _ = conv3d_with_grads(x, k, g, (1, 1, 1), (1, 1, 1))
+        assert y.tobytes() == y4.tobytes()
+        assert gx.tobytes() == gx4.tobytes()
+
+    def test_backward_lowers_columns_once(self, monkeypatch):
+        # the forward and the input gradient lower columns; the kernel
+        # gradient reads the padded input directly
+        chunker = engine._spatial_col_chunks
+        calls = []
+
+        def spy(xp, *args):
+            calls.append(xp.shape)
+            return chunker(xp, *args)
+
+        monkeypatch.setattr(engine, "_spatial_col_chunks", spy)
+        rng = np.random.default_rng(40)
+        x = Tensor(rng.uniform(-1, 1, (2, 3, 4, 5, 6)), requires_grad=True)
+        k = Tensor(rng.uniform(-1, 1, (4, 3, 3, 3, 3)), requires_grad=True)
+        y = conv3d(x, k, (1, 2, 1), (1, 1, 1))
+        assert calls == [(2, 3, 6, 7, 8)]
+        backward((y * y).sum())
+        # the input gradient's valid conv runs over g (4 ch), dilated and
+        # padded to the input's extent plus k-1
+        assert calls == [(2, 3, 6, 7, 8), (2, 4, 6, 7, 8)]
 
     @pytest.mark.parametrize("items", [1, 3])
     def test_small_volume_single_piece(self, items):

@@ -103,6 +103,12 @@ class TestGenerate:
         with pytest.raises(ContractError):
             generate(model, make_video(frames=2), total_frames=5)
 
+    @pytest.mark.parametrize("frames", [2.5, True, "2"])
+    def test_non_int_frame_count_refused(self, frames):
+        model = build_model(tiny_config("wavenet", spf=3), seed=7)
+        with pytest.raises(ParameterError, match="total_frames"):
+            generate(model, make_video(frames=3), total_frames=frames)
+
 
 TAPE_FREE_CASES = {
     "deep_fusion": (dict(), "mse"),

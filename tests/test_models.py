@@ -438,6 +438,16 @@ class TestParamCount:
         with pytest.raises(ParameterError, match="seed"):
             build_model(tiny_config("wavenet"), seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, True, "1", None])
+    def test_non_int_seed_refused(self, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            build_model(tiny_config("wavenet"), seed=seed)
+
+    def test_numpy_int_seed_accepted(self):
+        a = build_model(tiny_config("wavenet"), seed=np.int64(4))
+        b = build_model(tiny_config("wavenet"), seed=4)
+        npt.assert_array_equal(a.flat, b.flat)
+
 
 def reachable_tensors(obj) -> list:
     """Every Tensor reachable from obj through attributes, lists and tuples."""

@@ -118,6 +118,13 @@ class TestTrainLoop:
         with pytest.raises(ParameterError, match="seed"):
             self._config(seed=-3)
 
+    @pytest.mark.parametrize("field", ["steps", "batch_size", "seed",
+                                       "checkpoint_interval"])
+    @pytest.mark.parametrize("value", [2.5, True, "2", None])
+    def test_non_int_field_refused(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            self._config(**{field: value})
+
     def test_zero_learning_rate_keeps_params(self):
         ds = make_dataset(frames=8, spf=4)
         model = build_model(tiny_config("wavenet"), seed=0)
