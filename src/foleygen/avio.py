@@ -11,7 +11,6 @@ A one-line ffmpeg transcode produces both from any source container:
 from __future__ import annotations
 
 import json
-import numbers
 import os
 import struct
 from contextlib import contextmanager
@@ -27,12 +26,8 @@ from .errors import (
     FormatError,
     ParameterError,
     UnsupportedError,
+    _is_int,
 )
-
-
-def _is_int(v) -> bool:
-    """An int or numpy integer; a bool is not one."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass
@@ -45,8 +40,9 @@ class AudioBuffer:
         x = np.asarray(self.samples)
         if x.ndim != 2 or x.shape[1] != 2:
             raise FormatError(f"audio samples must be (N, 2), got {x.shape}")
-        if self.sample_rate <= 0:
-            raise ParameterError("sample_rate must be positive")
+        if not _is_int(self.sample_rate) or self.sample_rate <= 0:
+            raise ParameterError(
+                f"sample_rate must be a positive int, got {self.sample_rate!r}")
         # phrased so that NaN, which fails every comparison, is rejected too;
         # checked before the cast, which warns on a float32 signalling NaN
         if x.size and not (x.min() >= -1.0 and x.max() <= 1.0):
@@ -74,8 +70,9 @@ class VideoClip:
         if min(self.frames.shape[2:]) < 1:
             raise FormatError(
                 f"video frames must be at least 1x1, got {self.frames.shape}")
-        if self.frame_rate <= 0:
-            raise ParameterError("frame_rate must be positive")
+        if not _is_int(self.frame_rate) or self.frame_rate <= 0:
+            raise ParameterError(
+                f"frame_rate must be a positive int, got {self.frame_rate!r}")
         if not (self.frames.min() >= 0.0 and self.frames.max() <= 1.0):
             raise FormatError("pixel values must be finite and lie in [0, 1]")
 
@@ -92,6 +89,8 @@ class AlignedAV:
     spf: int
 
     def __post_init__(self):
+        if not _is_int(self.spf) or self.spf < 1:
+            raise ParameterError(f"spf must be a positive int, got {self.spf!r}")
         if self.audio.sample_rate != self.video.frame_rate * self.spf:
             raise AlignmentError(
                 f"spf {self.spf} inconsistent with rates "
@@ -203,7 +202,7 @@ def load_clip(manifest_path) -> VideoClip:
         raise FormatError(f"{manifest_path}: frames_file must be a string")
     for field in ("width", "height", "frame_count", "frame_rate"):
         v = meta[field]
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        if not _is_int(v) or v < 1:
             raise FormatError(f"{manifest_path}: {field} must be a "
                               f"positive integer, got {v!r}")
     f, h, w = meta["frame_count"], meta["height"], meta["width"]
@@ -228,7 +227,8 @@ def downsample_audio(a: AudioBuffer, target_rate: int) -> AudioBuffer:
     The IIR filter runs forward only, so the output preserves DC but is not
     zero-phase. Decimation keeps every ``factor``-th sample starting at 0.
     """
-    if target_rate <= 0 or a.sample_rate % target_rate != 0:
+    if (not _is_int(target_rate) or target_rate <= 0
+            or a.sample_rate % target_rate != 0):
         raise ParameterError(
             f"target rate {target_rate} does not divide sample rate "
             f"{a.sample_rate}"

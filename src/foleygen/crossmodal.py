@@ -74,9 +74,9 @@ class VideoEmbedderParams:
 
 
 def res_block_3d(x: Tensor, p: ResBlock3DParams) -> Tensor:
-    """y = relu(conv2(relu(conv1(x))) + x); both convs pad 1, stride 1."""
-    h = conv3d(x, p.conv1, stride=(1, 1, 1), padding=(1, 1, 1)).relu()
-    h = conv3d(h, p.conv2, stride=(1, 1, 1), padding=(1, 1, 1))
+    """y = relu(conv2(relu(conv1(x))) + x); both convs keep x's size."""
+    h = conv3d(x, p.conv1).relu()
+    h = conv3d(h, p.conv2)
     return (h + x).relu()
 
 

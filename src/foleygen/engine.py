@@ -34,12 +34,13 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ParameterError, ShapeError
+from .errors import ContractError, ParameterError, ShapeError, _is_int
 
 
 class _GradMode(threading.local):
@@ -484,8 +485,8 @@ def _sum_outer(g: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _check_causal(x: Tensor, kernel: Tensor, dilation, opname: str) -> range:
     """Validate a causal conv's operands; return the shifts of taps 1.. that
     fall inside the input (a tap with k*d >= T sees only zero padding)."""
-    if not isinstance(dilation, int) or dilation < 1:
-        raise ParameterError(f"dilation must be a positive int, got {dilation}")
+    if not _is_int(dilation) or dilation < 1:
+        raise ParameterError(f"dilation must be a positive int, got {dilation!r}")
     xs, ks = x.data.shape, kernel.data.shape
     if len(xs) not in (2, 3) or len(ks) != 3:
         raise ShapeError(
@@ -586,8 +587,8 @@ def conv1d_strided(x: Tensor, kernel: Tensor, stride: int) -> Tensor:
     x: (ch_in, T) or (B, ch_in, T), kernel: (ch_out, ch_in, K)
     -> (ch_out, (T-K)//stride + 1), with B leading if x has it
     """
-    if not isinstance(stride, int) or stride < 1:
-        raise ParameterError(f"stride must be a positive int, got {stride}")
+    if not _is_int(stride) or stride < 1:
+        raise ParameterError(f"stride must be a positive int, got {stride!r}")
     ch_out, ch_in, K = kernel.shape
     if x.data.ndim not in (2, 3) or x.shape[-2] != ch_in:
         raise ShapeError(
@@ -642,30 +643,27 @@ def _col_buffer(n: int, dt, slot: str = "cols") -> np.ndarray:
     return buf[:n]
 
 
-def _spatial_col_chunks(xp, ks, stride, out_shape):
+def _spatial_col_chunks(xp, ks):
     """Yield (b0, b1, i0, i1, cols) covering items [0, N) x output rows
     [0, Ho) of a valid conv over the C-contiguous xp (N, ci, Tp, Hp, Wp).
 
-    ``cols`` is (b1-b0, ci*kh*kw, Tu, (i1-i0)*Wo), where Tu = kt + st*(To-1)
-    is the number of padded time steps the conv reads: row (c, b, d) at time
-    t holds xp[n, c, t, b + sh*i, d + sw*j] for every output row i and
-    column j of the chunk. Only the spatial taps are lowered; the time taps
-    are slices of the time axis (``_time_taps``). A chunk holds whole items
-    when one item's columns fit ``_COL_BUDGET_BYTES``, and a run of one
-    item's output rows otherwise; its column buffer stays within the budget
-    unless a single output row needs more. Time is never split: each split
-    would copy the kt-1 halo steps again.
+    ``cols`` is (b1-b0, ci*kh*kw, Tp, (i1-i0)*Wo): row (c, b, d) at time t
+    holds xp[n, c, t, b + i, d + j] for every output row i and column j of
+    the chunk. Only the spatial taps are lowered; the time taps are slices
+    of the time axis (``_time_taps``). A chunk holds whole items when one
+    item's columns fit ``_COL_BUDGET_BYTES``, and a run of one item's output
+    rows otherwise; its column buffer stays within the budget unless a
+    single output row needs more. Time is never split: each split would copy
+    the kt-1 halo steps again.
     """
-    kt, kh, kw = ks
-    st, sh, sw = stride
-    To, Ho, Wo = out_shape
-    N, ci = xp.shape[:2]
-    Tu = kt + st * (To - 1)
+    _, kh, kw = ks
+    N, ci, Tp, Hp, Wp = xp.shape
+    Ho, Wo = Hp - kh + 1, Wp - kw + 1
     sn, sc, s_t, s_h, s_w = xp.strides
-    # (N, ci, kh, kw, Tu, Ho, Wo): spatial tap (b, d) of output (i, j) at t
-    win = np.ndarray((N, ci, kh, kw, Tu, Ho, Wo), xp.dtype, xp, 0,
-                     (sn, sc, s_h, s_w, s_t, sh * s_h, sw * s_w))
-    fit = max(1, _COL_BUDGET_BYTES // (ci * kh * kw * Tu * Wo * xp.itemsize))
+    # (N, ci, kh, kw, Tp, Ho, Wo): spatial tap (b, d) of output (i, j) at t
+    win = np.ndarray((N, ci, kh, kw, Tp, Ho, Wo), xp.dtype, xp, 0,
+                     (sn, sc, s_h, s_w, s_t, s_h, s_w))
+    fit = max(1, _COL_BUDGET_BYTES // (ci * kh * kw * Tp * Wo * xp.itemsize))
     if fit >= Ho:
         nb, rows = max(1, min(N, fit // Ho)), Ho
         spans = [(b, min(N, b + nb), 0, Ho) for b in range(0, N, nb)]
@@ -673,39 +671,37 @@ def _spatial_col_chunks(xp, ks, stride, out_shape):
         nb, rows = 1, fit
         spans = [(b, b + 1, i, min(Ho, i + fit))
                  for b in range(N) for i in range(0, Ho, fit)]
-    buf = _col_buffer(nb * ci * kh * kw * Tu * rows * Wo, xp.dtype)
+    buf = _col_buffer(nb * ci * kh * kw * Tp * rows * Wo, xp.dtype)
     for b0, b1, i0, i1 in spans:
-        shape = (b1 - b0, ci, kh, kw, Tu, i1 - i0, Wo)
+        shape = (b1 - b0, ci, kh, kw, Tp, i1 - i0, Wo)
         part = buf[: math.prod(shape)].reshape(shape)
         np.copyto(part, win[b0:b1, :, :, :, :, i0:i1])
-        yield b0, b1, i0, i1, part.reshape(b1 - b0, ci * kh * kw, Tu, -1)
+        yield b0, b1, i0, i1, part.reshape(b1 - b0, ci * kh * kw, Tp, -1)
 
 
-def _time_taps(cols, kt, st, To):
-    """A chunk's time taps as one (items, kt, rows, To*columns) array: tap
-    a holds the time steps a, a + st, ..., a + st*(To-1) of cols (items,
-    rows, Tu, columns). A view of cols at time stride 1, where each tap is
-    a contiguous slice; a copy otherwise."""
-    nb, K, _, R = cols.shape
+def _time_taps(cols, kt):
+    """A view of a chunk's time taps as one (items, kt, rows, To*columns)
+    array, To = Tp - kt + 1: tap a is the contiguous time slice a .. a+To-1
+    of cols (items, rows, Tp, columns)."""
+    nb, K, Tp, R = cols.shape
     sn, sk, s_t, sr = cols.strides
-    taps = np.ndarray((nb, kt, K, To, R), cols.dtype, cols, 0,
-                      (sn, s_t, sk, st * s_t, sr))
-    return taps.reshape(nb, kt, K, To * R)
+    return np.ndarray((nb, kt, K, (Tp - kt + 1) * R), cols.dtype, cols, 0,
+                      (sn, s_t, sk, sr))
 
 
-def _conv3d_valid(xp, kernel, stride, out_shape):
-    """Unpadded cross-correlation of the C-contiguous xp (N, ci, ...) with
-    the kernel array (co, ci, kt, kh, kw): (N, co, To, Ho, Wo)."""
+def _conv3d_valid(xp, kernel):
+    """Unpadded cross-correlation of the C-contiguous xp (N, ci, Tp, Hp, Wp)
+    with the kernel array (co, ci, kt, kh, kw): (N, co, Tp-kt+1, Hp-kh+1,
+    Wp-kw+1)."""
     co, ci, kt, kh, kw = kernel.shape
-    To, Ho, Wo = out_shape
+    To, Ho, Wo = (n - k + 1 for n, k in zip(xp.shape[2:], (kt, kh, kw)))
     # w[a] is time tap a as (co, ci*kh*kw), rows ordered as the columns
     w = kernel.transpose(2, 0, 1, 3, 4).reshape(kt, co, -1)
     y = np.empty((xp.shape[0], co, To, Ho, Wo), dtype=kernel.dtype)
-    for b0, b1, i0, i1, cols in _spatial_col_chunks(xp, (kt, kh, kw), stride,
-                                                    out_shape):
+    for b0, b1, i0, i1, cols in _spatial_col_chunks(xp, (kt, kh, kw)):
         # one GEMM per (item, time tap) in one matmul; the sum over the taps
         # is written into the chunk's part of y
-        taps = _time_taps(cols, kt, stride[0], To)
+        taps = _time_taps(cols, kt)
         nb, rows = b1 - b0, i1 - i0
         z = _col_buffer(nb * kt * co * To * rows * Wo, y.dtype, "gemm")
         np.matmul(w, taps, out=z.reshape(nb, kt, co, -1))
@@ -713,29 +709,27 @@ def _conv3d_valid(xp, kernel, stride, out_shape):
     return y
 
 
-def _conv3d_kernel_grad(xp, g, ks, stride):
+def _conv3d_kernel_grad(xp, g, ks):
     """Gradient (co, ci, kt, kh, kw) of a valid conv over the C-contiguous
     xp (N, ci, Tp, Hp, Wp) for the output gradient g (N, co, To, Ho, Wo),
     summed over the items.
 
     g is laid out on xp's flat padded grid, zeros elsewhere: gp[n, o, p]
-    holds g[n, o, t, i, j] at p = st*t*Hp*Wp + sh*i*Wp + sw*j, p < L. Tap
-    (a, b, d) then reads xp at p + off, off = a*Hp*Wp + b*Wp + d, so its
-    gradient is gp[n] @ xp[n, :, off:off + L].T, one shifted dot product
-    per (o, c) and no lowered columns. off + L never passes the end of xp.
+    holds g[n, o, t, i, j] at p = t*Hp*Wp + i*Wp + j, p < L. Tap (a, b, d)
+    then reads xp at p + off, off = a*Hp*Wp + b*Wp + d, so its gradient is
+    gp[n] @ xp[n, :, off:off + L].T, one shifted dot product per (o, c) and
+    no lowered columns. off + L never passes the end of xp.
     """
     N, ci = xp.shape[:2]
     co, To, Ho, Wo = g.shape[1:]
     kt, kh, kw = ks
-    st, sh, sw = stride
     Hp, Wp = xp.shape[3:]
-    L = st * (To - 1) * Hp * Wp + sh * (Ho - 1) * Wp + sw * (Wo - 1) + 1
+    L = (To - 1) * Hp * Wp + (Ho - 1) * Wp + Wo
     gp = _col_buffer(N * co * L, g.dtype)
     gp.fill(0)
     e = gp.itemsize
     np.ndarray((N, co, To, Ho, Wo), gp.dtype, gp, 0,
-               (co * L * e, L * e, st * Hp * Wp * e, sh * Wp * e,
-                sw * e))[...] = g
+               (co * L * e, L * e, Hp * Wp * e, Wp * e, e))[...] = g
     # (N, kt, kh, kw, L, ci): tap (a, b, d) of item n as an (L, ci) matrix
     sn, sc, s_t, s_h, s_w = xp.strides
     taps = np.ndarray((N, kt, kh, kw, L, ci), xp.dtype, xp, 0,
@@ -744,31 +738,30 @@ def _conv3d_kernel_grad(xp, g, ks, stride):
     return gk.transpose(3, 4, 0, 1, 2)
 
 
-def _triple(v, name: str, lo: int) -> tuple:
-    """v if it is a tuple of 3 ints >= lo; a ParameterError otherwise."""
-    if (not isinstance(v, tuple) or len(v) != 3
-            or not all(isinstance(n, int) and n >= lo for n in v)):
-        raise ParameterError(
-            f"conv3d: {name} must be a tuple of 3 ints >= {lo}, got {v!r}")
-    return v
+def _pad_same(a, ks):
+    """a (N, c, T, H, W) zero-padded by k//2 on each side of each dim, as a
+    new C-contiguous array."""
+    p = [k // 2 for k in ks]
+    dims = a.shape[2:]
+    out = np.zeros(a.shape[:2] + tuple(n + 2 * q for n, q in zip(dims, p)),
+                   dtype=a.dtype)
+    out[(..., *(slice(q, q + n) for q, n in zip(p, dims)))] = a
+    return out
 
 
-def conv3d(x: Tensor, kernel: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
-    """Volumetric cross-correlation.
+def conv3d(x: Tensor, kernel: Tensor) -> Tensor:
+    """Same-size volumetric cross-correlation at stride 1.
 
     x: (ch_in, T, H, W) or (B, ch_in, T, H, W), kernel: (ch_out, ch_in, kT,
-    kH, kW); stride and padding are tuples of 3 ints, stride >= 1 and
-    padding >= 0. Output extent per dim: (dim + 2*pad - k)//stride + 1,
-    which must be >= 1.
+    kH, kW) with every kernel size odd -> (ch_out, T, H, W), with B leading
+    if x has it. Each of T, H and W is zero-padded by k//2 per side.
 
     Computed on spatial-only im2col columns with one GEMM per time tap
     (MEC, Cho & Brand, 2017, arXiv:1706.06873). With xp the zero-padded
     input, S(xp) lowers only the kH*kW spatial taps, once per padded time
-    step the conv reads: a (ci*kH*kW, Tp, Ho*Wo) array per item (fewer
-    than Tp steps when sT > 1 leaves some unread), rows ordered channel,
-    then tap. S_a is its time slice a, a + sT, ..., a + sT*(To-1), a
-    contiguous view at time stride 1, and W_a is the kernel's time tap a
-    as (co, ci*kH*kW). Then:
+    step: a (ci*kH*kW, Tp, H*W) array per item, rows ordered channel, then
+    tap. S_a is its contiguous time slice a .. a+T-1, a view, and W_a is
+    the kernel's time tap a as (co, ci*kH*kW). Then:
 
       * forward:         y    = sum_a W_a @ S_a(xp)
       * kernel gradient: no columns (kn2row, Vasudevan et al., 2017,
@@ -777,14 +770,12 @@ def conv3d(x: Tensor, kernel: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Te
         kT*kH*kW taps is one GEMM of it with xp shifted by the tap's flat
         offset: co*ci dot products of length ~Tp*Hp*Wp per tap and item
         (``_conv3d_kernel_grad``)
-      * input gradient:  the full correlation of g, dilated by the stride
-        (stride-1 zeros between entries) and padded by k-1, with the
-        kernel flipped in all three taps and transposed to (ci, co, ...),
-        evaluated over the unpadded input range by the same valid conv.
+      * input gradient:  the same convolution of g, padded like x, with
+        the kernel flipped in all three taps and transposed to (ci, co, ...).
 
-    The 27-tap im2col layout copies ci*kT*kH*kW*To*Ho*Wo elements per item;
-    this one copies ci*kH*kW*Tp*Ho*Wo, half as many for the models' 3x3x3
-    kernel over 4 frames (To = 4, Tp = 6). A forward plus backward lowers
+    The 27-tap im2col layout copies ci*kT*kH*kW*T*H*W elements per item;
+    this one copies ci*kH*kW*Tp*H*W, half as many for the models' 3x3x3
+    kernel over 4 frames (T = 4, Tp = 6). A forward plus backward lowers
     columns twice: once for y and once for the input gradient.
 
     The column buffer is bounded by ``_COL_BUDGET_BYTES`` (8 MiB): it holds
@@ -805,53 +796,27 @@ def conv3d(x: Tensor, kernel: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Te
             f"conv3d: x {x.shape} must be 4-D or 5-D, kernel {kernel.shape} "
             "must be 5-D"
         )
-    stride = _triple(stride, "stride", 1)
-    pt, ph, pw = padding = _triple(padding, "padding", 0)
-    co, ci, kt, kh, kw = kernel.shape
+    _, ci, *ks = kernel.shape
     if x.shape[-4] != ci:
         raise ShapeError(f"conv3d: x channels {x.shape} vs kernel {kernel.shape}")
-    T, H, W = x.shape[-3:]
-    ks = (kt, kh, kw)
-    outs = []
-    for dim, k, s, p in zip((T, H, W), ks, stride, padding):
-        if dim + 2 * p < k:
-            raise ShapeError(
-                f"conv3d: kernel {kernel.shape} larger than padded input {x.shape} "
-                f"with padding {padding}"
-            )
-        outs.append((dim + 2 * p - k) // s + 1)
-    To, Ho, Wo = outs
+    if not all(k % 2 for k in ks):
+        raise ShapeError(f"conv3d: kernel {kernel.shape} sizes must be odd")
+    if 0 in x.shape[-3:]:
+        raise ShapeError(f"conv3d: x {x.shape} has an empty T, H or W")
     x5 = x.data.reshape((-1,) + x.shape[-4:])
-    N = x5.shape[0]
-    xp = np.zeros((N, ci, T + 2 * pt, H + 2 * ph, W + 2 * pw), dtype=x5.dtype)
-    xp[:, :, pt: pt + T, ph: ph + H, pw: pw + W] = x5
-    y = _conv3d_valid(xp, kernel.data, stride, outs)
+    xp = _pad_same(x5, ks)
+    y = _conv3d_valid(xp, kernel.data)
     out = Tensor._result(y.reshape(x.shape[:-4] + y.shape[1:]), (x, kernel),
                          None)
     if out.requires_grad:
         def bw(g, x=x, kernel=kernel, xp=xp):
-            g5 = g.reshape(N, co, To, Ho, Wo)
+            g5 = g.reshape(y.shape)
             gx = gk = None
             if kernel.requires_grad:
-                gk = _conv3d_kernel_grad(xp, g5, ks, stride)
+                gk = _conv3d_kernel_grad(xp, g5, ks)
             if x.requires_grad:
-                # g dilated by the stride and padded by k-1-p, cut to the
-                # extent k-1+n that lines up with x: output i sits at
-                # k-1-p + s*i, and the outputs that fall outside it read only
-                # padding. A valid correlation over it yields x's gradient.
-                gd = np.zeros((N, co, T + kt - 1, H + kh - 1, W + kw - 1),
-                              dtype=g.dtype)
-                src, dst = [slice(None)] * 2, [slice(None)] * 2
-                for n, k, s, p, o in zip((T, H, W), ks, stride, padding, outs):
-                    i0 = max(0, -((k - 1 - p) // s))
-                    i1 = min(o, (n + p - 1) // s + 1)
-                    q = k - 1 - p + s * i0
-                    src.append(slice(i0, i1))
-                    dst.append(slice(q, q + s * (i1 - i0), s))
-                gd[tuple(dst)] = g5[tuple(src)]
                 wf = kernel.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-                gx = _conv3d_valid(gd, wf, (1, 1, 1), (T, H, W)).reshape(
-                    x.shape)
+                gx = _conv3d_valid(_pad_same(g5, ks), wf).reshape(x.shape)
             return gx, gk
         out._backward = bw
     return out
@@ -953,13 +918,17 @@ def grad_check(op_closure, inputs, eps: float = 1e-5) -> float:
 
     ``op_closure(*inputs)`` must return a scalar Tensor built from the given
     input tensors. Returns the max over all coordinates of
-    |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
+    |analytic - numeric| / max(|analytic|, |numeric|, 1e-8), or inf if any
+    analytic or numeric value is not finite.
     """
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
+    # phrased so that NaN, which fails every comparison, is refused too
+    if not (isinstance(eps, numbers.Real) and 0 < eps < math.inf):
+        raise ParameterError(f"eps must be a finite positive number, got {eps!r}")
     out = op_closure(*inputs)
     backward(out)
     analytic = [np.array(t.grad, copy=True) for t in inputs if t.requires_grad]
+    if not all(np.isfinite(a).all() for a in analytic):
+        return math.inf
     max_err = 0.0
     ai = 0
     for t in inputs:
@@ -976,6 +945,8 @@ def grad_check(op_closure, inputs, eps: float = 1e-5) -> float:
             fm = float(op_closure(*inputs).data)
             flat[j] = orig
             numeric = (fp - fm) / (2.0 * eps)
+            if not math.isfinite(numeric):
+                return math.inf
             an = a.reshape(-1)[j]
             err = abs(an - numeric) / max(abs(an), abs(numeric), 1e-8)
             max_err = max(max_err, err)

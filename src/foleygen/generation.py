@@ -13,9 +13,9 @@ import struct
 
 import numpy as np
 
-from .avio import AudioBuffer, VideoClip, _is_int, left_context
+from .avio import AudioBuffer, VideoClip, left_context
 from .engine import Tensor, no_grad
-from .errors import ContractError, ParameterError
+from .errors import ContractError, ParameterError, _is_int
 from .models import Model, dequantize
 
 
@@ -86,8 +86,8 @@ def frame_boundary_discontinuity(a: AudioBuffer, spf: int) -> float:
     over both channels. A score near 1 means boundaries are no rougher than
     the rest of the signal; large scores flag the per-frame stitching artifact.
     """
-    if spf < 1:
-        raise ParameterError(f"spf must be >= 1, got {spf}")
+    if not _is_int(spf) or spf < 1:
+        raise ParameterError(f"spf must be a positive int, got {spf!r}")
     x = a.samples
     if len(x) % spf != 0:
         raise ContractError(f"length {len(x)} not divisible by spf {spf}")

@@ -8,7 +8,7 @@ from xml.etree import ElementTree as ET
 import numpy as np
 
 from .avio import AudioBuffer
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, _is_int
 
 _SVG = "http://www.w3.org/2000/svg"
 
@@ -41,8 +41,8 @@ def plot_waveform(csv_path, spf: int, out_svg, sample_rate: int = 8820) -> None:
     The x axis is labeled in both samples and seconds. The samples and the
     rate must make a valid ``AudioBuffer``.
     """
-    if spf < 1:
-        raise ParameterError(f"spf must be >= 1, got {spf}")
+    if not _is_int(spf) or spf < 1:
+        raise ParameterError(f"spf must be a positive int, got {spf!r}")
     wave = AudioBuffer(_read_waveform_csv(csv_path), sample_rate).samples
     n = len(wave)
     width, height = 900.0, 300.0

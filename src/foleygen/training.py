@@ -14,10 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .avio import Dataset, _is_int, sample_window, stack_windows
+from .avio import Dataset, sample_window, stack_windows
 from .engine import Tensor, backward, no_grad
-from .errors import ContractError, ParameterError, ShapeError, TrainingDivergedError
-from .models import JsonConfig, Model, _check_type, quantize, save_checkpoint
+from .errors import (
+    ContractError,
+    ParameterError,
+    ShapeError,
+    TrainingDivergedError,
+    _is_int,
+)
+from .models import JsonConfig, Model, quantize, save_checkpoint
 
 LOSS_KINDS = ("mse", "mae", "xent_bernoulli", "xent_paper_literal",
               "xent_categorical")
@@ -122,8 +128,7 @@ class TrainConfig(JsonConfig):
     checkpoint_interval: int = 50
 
     def __post_init__(self):
-        for name, hint in self._field_types.items():
-            _check_type(f"TrainConfig.{name}", getattr(self, name), hint)
+        super().__post_init__()
         # learning rate 0 is allowed: it makes "no update" testable. NaN
         # fails this test too; it would write a checkpoint of NaNs
         if not 0 <= self.learning_rate < np.inf:

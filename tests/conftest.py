@@ -167,8 +167,9 @@ def fail_on_nth_write(monkeypatch, module, n: int) -> None:
 def conv3d_per_tap(x, k, g, stride, padding):
     """The original per-tap conv3d: forward, input and kernel gradients.
 
-    One einsum per kernel tap in each direction. Kept as the reference the
-    im2col implementation is checked against; g is the output gradient.
+    One einsum per kernel tap in each direction, at any stride and padding.
+    Kept as the reference the im2col implementation is checked against; g
+    is the output gradient.
     """
     co, ci, kt, kh, kw = k.shape
     st, sh, sw = stride
@@ -192,9 +193,14 @@ def conv3d_per_tap(x, k, g, stride, padding):
     return y, gx, gk
 
 
-def conv3d_with_grads(x, k, g, stride, padding):
+def conv3d_same_per_tap(x, k, g):
+    """conv3d_per_tap at conv3d's stride 1 and padding k//2."""
+    return conv3d_per_tap(x, k, g, (1, 1, 1), tuple(n // 2 for n in k.shape[2:]))
+
+
+def conv3d_with_grads(x, k, g):
     xt = Tensor(x, requires_grad=True)
     kt = Tensor(k, requires_grad=True)
-    y = conv3d(xt, kt, stride, padding)
+    y = conv3d(xt, kt)
     backward((y * Tensor(g)).sum())
     return y.data, xt.grad, kt.grad

@@ -88,8 +88,7 @@ def test_1_gradient_suite():
     check(lambda x, w, b: linear(x, w, b).sum(), [t(3, 4), t(4, 2), t(2)])
     check(lambda x, k: conv1d_causal(x, k, 2).sum(), [t(2, 8), t(2, 2, 3)])
     check(lambda x, k: conv1d_strided(x, k, 2).sum(), [t(2, 9), t(3, 2, 3)])
-    check(lambda x, k: conv3d(x, k, (1, 2, 2), (0, 1, 1)).sum(),
-          [t(2, 3, 4, 4), t(2, 2, 2, 2, 2)])
+    check(lambda x, k: conv3d(x, k).sum(), [t(2, 3, 4, 4), t(2, 2, 3, 1, 3)])
     check(lambda x, k: (conv1x1_channels(x, k) ** 2).sum(), [t(3, 5), t(2, 3)])
     d, h = 4, 2
     ap = AttentionParams(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from foleygen import avio
 from foleygen.avio import (
+    AlignedAV,
     AudioBuffer,
     VideoClip,
     align,
@@ -28,6 +29,8 @@ from foleygen.errors import (
     ParameterError,
     UnsupportedError,
 )
+from foleygen.generation import frame_boundary_discontinuity
+from foleygen.report import plot_waveform
 from conftest import fail_on_nth_write, make_dataset, save_zero_size_dataset
 
 
@@ -246,6 +249,39 @@ class TestDownsample:
         a = AudioBuffer(samples=np.zeros((10, 2)), sample_rate=44100)
         with pytest.raises(ParameterError):
             downsample_audio(a, 8000)
+
+
+def silence(n=40, rate=40):
+    return AudioBuffer(np.zeros((n, 2)), rate)
+
+
+def waveform_csv(tmp_path):
+    path = tmp_path / "w.csv"
+    path.write_text("index,left,right\n0,0.0,0.0\n1,0.1,0.1\n")
+    return path
+
+
+# a rate or samples-per-frame count is an int (a numpy integer is one, a
+# bool is not) or a ParameterError, never a late struct.error or IndexError
+@pytest.mark.parametrize("call", [
+    lambda tmp: AudioBuffer(np.zeros((4, 2)), 2.5),
+    lambda tmp: VideoClip(np.zeros((1, 3, 2, 2)), 2.5),
+    lambda tmp: AlignedAV(silence(4, 4), VideoClip(np.zeros((2, 3, 1, 1)), 2),
+                          2.0),
+    lambda tmp: downsample_audio(silence(), 20.0),
+    lambda tmp: downsample_audio(silence(), True),
+    lambda tmp: frame_boundary_discontinuity(silence(), 2.0),
+    lambda tmp: plot_waveform(waveform_csv(tmp), 1.5, tmp / "w.svg"),
+], ids=["AudioBuffer", "VideoClip", "AlignedAV", "downsample-float",
+        "downsample-bool", "frame_boundary_discontinuity", "plot_waveform"])
+def test_non_integer_rate_or_spf_refused(call, tmp_path):
+    with pytest.raises(ParameterError):
+        call(tmp_path)
+
+
+def test_numpy_integer_rate_accepted():
+    a = downsample_audio(silence(40, np.int64(40)), np.int32(20))
+    assert (a.sample_rate, len(a)) == (20, 20)
 
 
 class TestResize:

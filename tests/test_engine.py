@@ -1,4 +1,3 @@
-import itertools
 import math
 import threading
 import tracemalloc
@@ -28,7 +27,7 @@ from foleygen.engine import (
 from foleygen.errors import ContractError, ParameterError, ShapeError
 from foleygen.models import build_model
 
-from conftest import conv3d_per_tap, conv3d_with_grads, tiny_config
+from conftest import conv3d_same_per_tap, conv3d_with_grads, tiny_config
 
 
 def rand_attention_params(rng, d, heads):
@@ -221,6 +220,23 @@ class TestCausalResidual:
                             Tensor(np.zeros((3, 2, 1))), 1)
 
 
+class TestIntegerArguments:
+    """A dilation or stride follows the package's integer rule: a numpy
+    integer is an int, a bool is not."""
+
+    @pytest.mark.parametrize("op", [conv1d_causal, conv1d_strided])
+    def test_numpy_int_accepted(self, op):
+        rng = np.random.default_rng(17)
+        x = Tensor(rng.uniform(-1, 1, (2, 8)))
+        k = Tensor(rng.uniform(-1, 1, (2, 2, 2)))
+        npt.assert_array_equal(op(x, k, np.int64(2)).data, op(x, k, 2).data)
+
+    @pytest.mark.parametrize("op", [conv1d_causal, conv1d_strided])
+    def test_bool_refused(self, op):
+        with pytest.raises(ParameterError, match="positive int"):
+            op(Tensor(np.zeros((2, 8))), Tensor(np.zeros((2, 2, 2))), True)
+
+
 class TestNoGrad:
     def test_results_inside_record_nothing(self):
         w = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -280,9 +296,12 @@ class TestNoGrad:
 
 
 class TestConv3d:
-    def test_sum_of_eight_ones(self):
-        y = conv3d(Tensor(np.ones((1, 2, 2, 2))), Tensor(np.ones((1, 1, 2, 2, 2))))
-        npt.assert_array_equal(y.data, [[[[8.0]]]])
+    def test_sum_of_ones(self):
+        # each output counts the 3x3x3 taps that fall inside the input: 2
+        # per dim at an edge, 3 in the middle
+        y = conv3d(Tensor(np.ones((1, 3, 3, 3))), Tensor(np.ones((1, 1, 3, 3, 3))))
+        c = np.array([2.0, 3.0, 2.0])
+        npt.assert_array_equal(y.data[0], np.einsum("i,j,k->ijk", c, c, c))
 
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
@@ -293,55 +312,35 @@ class TestConv3d:
         y = conv3d(Tensor(x), Tensor(k))
         npt.assert_array_equal(y.data, x)
 
-    def test_stride_shape_formula(self):
-        x = Tensor(np.ones((1, 2, 4, 4)))
-        k = Tensor(np.ones((1, 1, 1, 2, 2)))
-        y = conv3d(x, k, stride=(1, 2, 2))
-        assert y.shape == (1, 2, 2, 2)
+    @pytest.mark.parametrize("ksize", [(2, 3, 3), (3, 2, 3), (3, 3, 4)])
+    def test_even_kernel_refused(self, ksize):
+        with pytest.raises(ShapeError, match="odd"):
+            conv3d(Tensor(np.ones((1, 4, 4, 4))), Tensor(np.ones((1, 1) + ksize)))
 
-    def test_kernel_too_large_rejected(self):
+    @pytest.mark.parametrize("dims", [(0, 3, 3), (3, 0, 3), (3, 3, 0)])
+    def test_empty_extent_refused(self, dims):
         with pytest.raises(ShapeError):
-            conv3d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 3, 1, 1))))
-
-    @pytest.mark.parametrize("stride, padding", [
-        ((0, 1, 1), (0, 0, 0)),
-        ((1.5, 1, 1), (0, 0, 0)),
-        ((1, 1), (0, 0, 0)),
-        ((1, 1, 1), (1, 1)),
-        ((1, 1, 1, 1), (0, 0, 0)),
-        ((1, 1, 1), (-1, 0, 0)),
-        ((1, 1, 1), (0, 0.5, 0)),
-        (1, (0, 0, 0)),
-    ])
-    def test_bad_stride_or_padding_refused(self, stride, padding):
-        x = Tensor(np.ones((1, 3, 3, 3)))
-        k = Tensor(np.ones((1, 1, 1, 1, 1)))
-        with pytest.raises(ParameterError):
-            conv3d(x, k, stride, padding)
+            conv3d(Tensor(np.ones((1,) + dims)), Tensor(np.ones((1, 1, 1, 1, 1))))
 
 
 class TestConv3dIm2col:
     """The spatial-column conv3d against the per-tap reference."""
 
     @pytest.mark.parametrize("budget", ["default", "one_byte"])
-    @pytest.mark.parametrize("padding", [(0, 0, 0), (1, 1, 1), (1, 0, 1)])
-    @pytest.mark.parametrize("ksize", [(2, 3, 1), (3, 1, 2), (3, 3, 3)])
-    def test_matches_per_tap_reference(self, ksize, padding, budget,
-                                       monkeypatch):
+    @pytest.mark.parametrize("ksize", [(1, 3, 1), (3, 1, 5), (3, 3, 3)])
+    def test_matches_per_tap_reference(self, ksize, budget, monkeypatch):
         # a one-byte budget forces one output row per column chunk
         if budget == "one_byte":
             monkeypatch.setattr(engine, "_COL_BUDGET_BYTES", 1)
-        rng = np.random.default_rng(sum(ksize) + 7 * sum(padding))
+        rng = np.random.default_rng(sum(ksize))
         x = rng.uniform(-1, 1, (2, 7, 6, 8))
         k = rng.uniform(-1, 1, (3, 2) + ksize)
-        for stride in itertools.product((1, 2, 3), repeat=3):
-            y_shape = conv3d(Tensor(x), Tensor(k), stride, padding).shape
-            g = rng.uniform(-1, 1, y_shape)
-            ref = conv3d_per_tap(x, k, g, stride, padding)
-            got = conv3d_with_grads(x, k, g, stride, padding)
-            for name, r, a in zip(("y", "grad x", "grad kernel"), ref, got):
-                npt.assert_allclose(a, r, rtol=0, atol=1e-12,
-                                    err_msg=f"{name} at stride {stride}")
+        g = rng.uniform(-1, 1, (3, 7, 6, 8))
+        assert conv3d(Tensor(x), Tensor(k)).shape == g.shape
+        ref = conv3d_same_per_tap(x, k, g)
+        got = conv3d_with_grads(x, k, g)
+        for name, r, a in zip(("y", "grad x", "grad kernel"), ref, got):
+            npt.assert_allclose(a, r, rtol=0, atol=1e-12, err_msg=name)
 
     def test_paper_size_split_path(self, monkeypatch):
         # 8 ch x (4, 36, 64) with a 3x3x3 kernel, padded by 1
@@ -350,7 +349,7 @@ class TestConv3dIm2col:
         def chunks():
             return [(b0, b1, i0, i1, cols.nbytes, cols.size)
                     for b0, b1, i0, i1, cols in engine._spatial_col_chunks(
-                        xp, (3, 3, 3), (1, 1, 1), (4, 36, 64))]
+                        xp, (3, 3, 3))]
 
         # one item's spatial columns (7.6 MiB) fit the default budget: each
         # item is one chunk of all 36 output rows
@@ -377,8 +376,8 @@ class TestConv3dIm2col:
         x = rng.uniform(-1, 1, (8, 4, 36, 64))
         k = rng.uniform(-1, 1, (8, 8, 3, 3, 3))
         g = rng.uniform(-1, 1, (8, 4, 36, 64))
-        ref = conv3d_per_tap(x, k, g, (1, 1, 1), (1, 1, 1))
-        got = conv3d_with_grads(x, k, g, (1, 1, 1), (1, 1, 1))
+        ref = conv3d_same_per_tap(x, k, g)
+        got = conv3d_with_grads(x, k, g)
         for name, r, a in zip(("y", "grad x", "grad kernel"), ref, got):
             npt.assert_allclose(a, r, rtol=0, atol=1e-10, err_msg=name)
 
@@ -390,9 +389,9 @@ class TestConv3dIm2col:
         x = rng.uniform(-1, 1, (batch, 8, 4, 36, 64))
         k = rng.uniform(-1, 1, (8, 8, 3, 3, 3))
         g = rng.uniform(-1, 1, (batch, 8, 4, 36, 64))
-        y, gx, _ = conv3d_with_grads(x, k, g, (1, 1, 1), (1, 1, 1))
+        y, gx, _ = conv3d_with_grads(x, k, g)
         monkeypatch.setattr(engine, "_COL_BUDGET_BYTES", 4 << 20)
-        y4, gx4, _ = conv3d_with_grads(x, k, g, (1, 1, 1), (1, 1, 1))
+        y4, gx4, _ = conv3d_with_grads(x, k, g)
         assert y.tobytes() == y4.tobytes()
         assert gx.tobytes() == gx4.tobytes()
 
@@ -410,18 +409,16 @@ class TestConv3dIm2col:
         rng = np.random.default_rng(40)
         x = Tensor(rng.uniform(-1, 1, (2, 3, 4, 5, 6)), requires_grad=True)
         k = Tensor(rng.uniform(-1, 1, (4, 3, 3, 3, 3)), requires_grad=True)
-        y = conv3d(x, k, (1, 2, 1), (1, 1, 1))
+        y = conv3d(x, k)
         assert calls == [(2, 3, 6, 7, 8)]
         backward((y * y).sum())
-        # the input gradient's valid conv runs over g (4 ch), dilated and
-        # padded to the input's extent plus k-1
+        # the input gradient's conv runs over g (4 ch), padded like x
         assert calls == [(2, 3, 6, 7, 8), (2, 4, 6, 7, 8)]
 
     @pytest.mark.parametrize("items", [1, 3])
     def test_small_volume_single_piece(self, items):
         xp = np.zeros((items, 2, 7, 6, 8))
-        chunks = list(engine._spatial_col_chunks(xp, (3, 3, 3), (1, 1, 1),
-                                                 (5, 4, 6)))
+        chunks = list(engine._spatial_col_chunks(xp, (3, 3, 3)))
         assert len(chunks) == 1 and chunks[0][:4] == (0, items, 0, 4)
         assert chunks[0][4].shape == (items, 2 * 9, 7, 4 * 6)
 
@@ -431,7 +428,7 @@ class TestConv3dIm2col:
         monkeypatch.setattr(engine, "_COL_BUDGET_BYTES",
                             2 * 18 * 7 * 4 * 6 * 8 + 7)
         chunks = [c[:4] for c in engine._spatial_col_chunks(
-            np.zeros((5, 2, 7, 6, 8)), (3, 3, 3), (1, 1, 1), (5, 4, 6))]
+            np.zeros((5, 2, 7, 6, 8)), (3, 3, 3))]
         assert chunks == [(0, 2, 0, 4), (2, 4, 0, 4), (4, 5, 0, 4)]
 
     @pytest.mark.parametrize("budget", ["default", "two_items", "one_byte"])
@@ -439,29 +436,27 @@ class TestConv3dIm2col:
         # the batch through one conv3d call against each item on its own
         rng = np.random.default_rng(37)
         x = rng.uniform(-1, 1, (3, 2, 5, 6, 7))
-        k = rng.uniform(-1, 1, (3, 2, 3, 2, 3))
-        stride, padding = (2, 1, 2), (1, 1, 0)
-        g = rng.uniform(-1, 1, (3,) + conv3d(
-            Tensor(x[0]), Tensor(k), stride, padding).shape)
+        k = rng.uniform(-1, 1, (3, 2, 3, 1, 3))
+        g = rng.uniform(-1, 1, (3, 3, 5, 6, 7))
         if budget != "default":
-            # 2*2*3 rows x 7 padded time steps x (7, 3) outputs
-            per_item = 12 * 7 * 7 * 3 * 8
+            # 2*1*3 rows x 7 padded time steps x (6, 7) outputs
+            per_item = 6 * 7 * 6 * 7 * 8
             monkeypatch.setattr(engine, "_COL_BUDGET_BYTES",
                                 2 * per_item if budget == "two_items" else 1)
-        y, gx, gk = conv3d_with_grads(x, k, g, stride, padding)
+        y, gx, gk = conv3d_with_grads(x, k, g)
         gk_sum = np.zeros_like(k)
         for i in range(3):
-            yi, gxi, gki = conv3d_with_grads(x[i], k, g[i], stride, padding)
+            yi, gxi, gki = conv3d_with_grads(x[i], k, g[i])
             npt.assert_allclose(y[i], yi, rtol=0, atol=1e-12)
             npt.assert_allclose(gx[i], gxi, rtol=0, atol=1e-12)
             gk_sum += gki
         npt.assert_allclose(gk, gk_sum, rtol=0, atol=1e-12)
 
-    def test_grad_check_mixed_stride(self):
+    def test_grad_check_odd_kernel_on_batch(self):
         rng = np.random.default_rng(213)
-        x = Tensor(rng.uniform(-1, 1, (2, 5, 4, 7)), requires_grad=True)
-        k = Tensor(rng.uniform(-1, 1, (2, 2, 2, 2, 3)), requires_grad=True)
-        fn = lambda x, k: (conv3d(x, k, (2, 1, 3), (1, 1, 0)) ** 2).sum()
+        x = Tensor(rng.uniform(-1, 1, (2, 2, 3, 4, 5)), requires_grad=True)
+        k = Tensor(rng.uniform(-1, 1, (2, 2, 3, 1, 5)), requires_grad=True)
+        fn = lambda x, k: (conv3d(x, k) ** 2).sum()
         assert grad_check(fn, [x, k], eps=1e-5) < 1e-6
 
     @pytest.mark.parametrize("budget", ["default", "one_byte"])
@@ -484,7 +479,7 @@ class TestConv3dIm2col:
                    dtype=np.float32)
         k = Tensor(rng.uniform(-1, 1, (3, 2, 3, 3, 3)), requires_grad=True,
                    dtype=np.float32)
-        y = conv3d(x, k, (2, 1, 1), (1, 1, 1))
+        y = conv3d(x, k)
         backward((y * y).sum())
         assert y.data.dtype == np.float32
         assert x.grad.dtype == np.float32
@@ -869,6 +864,32 @@ class TestGradCheck:
         assert grad_check(lambda x: Tensor(0.0, requires_grad=True).sum() * 1.0
                           if False else (x * 0.0).sum(), [x]) == 0.0
 
+    def test_nan_analytic_gradient_fails(self):
+        # a backward that returns NaN is as wrong as it gets
+        def broken(x):
+            return Tensor._result(x.data * 2.0, (x,),
+                                  lambda g: (np.full_like(g, np.nan),)).sum()
+
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        assert grad_check(broken, [x]) == math.inf
+
+    def test_nan_numeric_gradient_fails(self):
+        # NaN past x = 1, so the central difference at x = 1 is NaN while
+        # the analytic gradient there is 1
+        def nan_above_one(x):
+            return Tensor._result(np.where(x.data > 1.0, np.nan, x.data),
+                                  (x,), lambda g: (g,)).sum()
+
+        x = Tensor([1.0], requires_grad=True)
+        assert grad_check(nan_above_one, [x]) == math.inf
+
+    @pytest.mark.parametrize("eps", [float("nan"), math.inf, 0.0, -1e-5,
+                                     "1e-5", None])
+    def test_bad_eps_refused(self, eps):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with pytest.raises(ParameterError, match="eps"):
+            grad_check(lambda x: (x * x).sum(), [x], eps=eps)
+
     # ops that take a leading batch axis; test_every_op runs them at B = 2
     # as well
     BATCHED = {"linear", "matmul", "conv1d_causal", "causal_residual",
@@ -910,9 +931,8 @@ class TestGradCheck:
         elif name == "conv3d":
             x = Tensor(rng.uniform(-2, 2, batch + (2, 3, 3, 3)),
                        requires_grad=True)
-            k = Tensor(rng.uniform(-2, 2, (2, 2, 2, 2, 2)), requires_grad=True)
-            fn, ins = (lambda x, k:
-                       (conv3d(x, k, (1, 1, 1), (1, 0, 0)) ** 2).sum(), [x, k])
+            k = Tensor(rng.uniform(-2, 2, (2, 2, 3, 1, 3)), requires_grad=True)
+            fn, ins = lambda x, k: (conv3d(x, k) ** 2).sum(), [x, k]
         elif name == "conv1x1":
             k = Tensor(rng.uniform(-2, 2, (3, 2)), requires_grad=True)
             fn, ins = (lambda x, k:

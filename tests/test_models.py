@@ -116,6 +116,15 @@ class TestConfigJson:
         with pytest.raises(ParameterError):
             ModelConfig.from_json(json.dumps(fields))
 
+    @pytest.mark.parametrize("fields", [
+        {"spf": 2.5}, {"kind": "wavenet", "wn_dilations": (1, 2.5)},
+        {"kind": "wavenet", "audio_ctx_len": True}, {"frame_h": 36.0},
+        {"quantized": 1},
+    ], ids=["spf", "wn_dilations", "audio_ctx_len", "frame_h", "quantized"])
+    def test_wrong_typed_field_refused_on_construction(self, fields):
+        with pytest.raises(ParameterError, match="ModelConfig"):
+            ModelConfig(**fields)
+
     def test_json_overrides_defaults(self):
         cfg = ModelConfig.from_json('{"spf": 7}', spf=3, frame_h=5)
         assert (cfg.spf, cfg.frame_h) == (7, 5)

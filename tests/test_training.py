@@ -397,7 +397,7 @@ for kind, cfg in configs.items():
 rng = np.random.default_rng(5)
 x = Tensor(rng.uniform(-1, 1, (4, 8, 4, 36, 64)), requires_grad=True)
 k = Tensor(rng.uniform(-1, 1, (8, 8, 3, 3, 3)), requires_grad=True)
-y = conv3d(x, k, (1, 1, 1), (1, 1, 1))
+y = conv3d(x, k)
 backward((y * y).sum())
 out["conv3d"] = [sha(y.data), sha(x.grad), sha(k.grad)]
 print(json.dumps(out))
