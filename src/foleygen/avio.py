@@ -317,15 +317,15 @@ def sample_window(d: AlignedAV, frame_index: int, audio_ctx_len: int,
         raise ParameterError(
             f"context lengths must be >= 0, got audio {audio_ctx_len} and "
             f"video {video_ctx_len}")
+    # a frame target starts at its frame
+    end = d.spf if target_kind == "sample" else 1
+    if not 0 <= sample_offset < end:
+        raise BoundsError(f"sample_offset {sample_offset} out of range "
+                          f"[0, {end}) for a {target_kind} target")
+    pos = frame_index * d.spf + sample_offset
     if target_kind == "sample":
-        if not 0 <= sample_offset < d.spf:
-            raise BoundsError(
-                f"sample_offset {sample_offset} out of range [0, {d.spf})"
-            )
-        pos = frame_index * d.spf + sample_offset
         target = d.audio.samples[pos].copy()
     else:
-        pos = frame_index * d.spf
         target = d.audio.samples[pos: pos + d.spf].copy()
 
     return ContextWindow(

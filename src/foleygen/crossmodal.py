@@ -81,22 +81,20 @@ def res_block_3d(x: Tensor, p: ResBlock3DParams) -> Tensor:
 
 
 def video_to_audio(v: Tensor, p: ProjectionParams) -> Tensor:
-    """(c_vid, H, W), (c_vid, T, H, W) or (B, c_vid, T, H, W)
-    -> (c_aud, n_aud), with B leading if v has it.
+    """(c_vid, T, H, W) -> (c_aud, n_aud), with B leading if v has it.
 
-    A time axis is mean-pooled first. Spatial dims are flattened and
-    mapped by the shared linear layer, then channels are mixed 1x1.
+    Time is mean-pooled first. Spatial dims are flattened and mapped by
+    the shared linear layer, then channels are mixed 1x1.
     """
-    if v.data.ndim not in (3, 4, 5):
-        raise ShapeError(f"video_to_audio: expected 3-D to 5-D, got {v.shape}")
+    if v.data.ndim not in (4, 5):
+        raise ShapeError(f"video_to_audio: expected 4-D or 5-D, got {v.shape}")
     h, w = v.shape[-2:]
     if h * w != p.w.shape[0]:
         raise ShapeError(
             f"video_to_audio: spatial size {h}x{w} does not match "
             f"projection input {p.w.shape[0]}"
         )
-    if v.data.ndim > 3:
-        v = v.mean_axis(-3)                             # (..., c, H, W)
+    v = v.mean_axis(-3)                                 # (..., c, H, W)
     flat = v.reshape(v.shape[:-2] + (h * w,))
     seq = linear(flat, p.w, p.b)                        # (..., c, n_aud)
     return conv1x1_channels(seq, p.mix, axis=-2)        # (..., c_aud, n_aud)

@@ -3,8 +3,8 @@
 The engine provides exactly the operations the audio/video generator
 architectures need: dense layers, 2-D matmuls and stacks of them of any
 depth, causal/strided/volumetric convolutions, the fused causal residual
-layer ``h + relu(conv1d_causal(h))``, head-batched multi-head attention
-(optionally from the last n positions only), the usual pointwise
+layer ``h + relu(conv1d_causal(h))``, head-batched causal multi-head
+attention (optionally from the last n positions only), the usual pointwise
 nonlinearities, and a built-in central-finite-difference gradient checker.
 
 Design constraints:
@@ -237,16 +237,11 @@ class Tensor:
             out._backward = lambda g, old=old: (g.reshape(old),)
         return out
 
-    def transpose(self, axes=None):
+    def transpose(self, axes):
         out = Tensor._result(self.data.transpose(axes), (self,), None)
         if out.requires_grad:
-            inv = None if axes is None else np.argsort(axes)
-            out._backward = lambda g, inv=inv: (g.transpose(inv),)
+            out._backward = lambda g, inv=np.argsort(axes): (g.transpose(inv),)
         return out
-
-    @property
-    def T(self):
-        return self.transpose()
 
     @property
     def mT(self):
@@ -322,17 +317,6 @@ class Tensor:
             out._backward = lambda g, soft=soft: (
                 np.expand_dims(g, -1) * soft,)
         return out
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    datas = [t.data for t in tensors]
-    sizes = [d.shape[axis] for d in datas]
-    out = Tensor._result(np.concatenate(datas, axis=axis), tuple(tensors), None)
-    if out.requires_grad:
-        def bw(g, cuts=np.cumsum(sizes[:-1]), axis=axis):
-            return tuple(np.split(g, cuts, axis=axis))
-        out._backward = bw
-    return out
 
 
 def scalar_scale(x: Tensor, s: Tensor) -> Tensor:
@@ -796,9 +780,11 @@ def conv3d(x: Tensor, kernel: Tensor) -> Tensor:
             f"conv3d: x {x.shape} must be 4-D or 5-D, kernel {kernel.shape} "
             "must be 5-D"
         )
-    _, ci, *ks = kernel.shape
+    co, ci, *ks = kernel.shape
     if x.shape[-4] != ci:
         raise ShapeError(f"conv3d: x channels {x.shape} vs kernel {kernel.shape}")
+    if co == 0 or ci == 0:
+        raise ShapeError(f"conv3d: kernel {kernel.shape} has no channels")
     if not all(k % 2 for k in ks):
         raise ShapeError(f"conv3d: kernel {kernel.shape} sizes must be odd")
     if 0 in x.shape[-3:]:
@@ -861,17 +847,16 @@ class AttentionParams:
 
 
 def multi_head_attention(x: Tensor, params: AttentionParams,
-                         causal_mask: bool = False,
                          last_n: int | None = None) -> Tensor:
-    """Scaled dot-product attention over (T, d_model) or (B, T, d_model),
-    with optional causal mask.
+    """Causal scaled dot-product attention over (T, d_model) or
+    (B, T, d_model): position t attends to positions 0..t.
 
     All heads at once: q, k and v are viewed as (heads, T, d_head) stacks
     per item, so each product is one stacked matmul and the softmax runs
     once.
 
     With ``last_n``, only the last ``last_n`` positions attend (to every
-    key up to their own position under the causal mask) and the result is
+    key up to their own position) and the result is
     (last_n, d_model) per item: the last rows of the full result. Keys and
     values still come from all T positions.
     """
@@ -901,7 +886,7 @@ def multi_head_attention(x: Tensor, params: AttentionParams,
     v = v.transpose(heads_first)
     scores = (q @ k) * (1.0 / math.sqrt(dh))            # (..., h, n, T)
     # query i sits at position T-n+i; with n == 1 nothing lies ahead of it
-    if causal_mask and n > 1:
+    if n > 1:
         mask = np.triu(np.full((n, T), -1e30, dtype=x.data.dtype), k=T - n + 1)
         scores = scores + Tensor(np.broadcast_to(mask, scores.shape),
                                  dtype=mask.dtype)

@@ -2,9 +2,9 @@
 
 The rolling audio context contains only previously generated samples, never
 ground truth. Each frame's video window is embedded exactly once and reused
-for that frame's model steps: spf steps of one sample in sample mode, one
-step of spf samples in sequence mode. Nothing is differentiated, so the
-loop runs under ``engine.no_grad`` and records no tape.
+for that frame's ``spf / model.step_samples`` model steps: spf steps of
+one sample, or for deep fusion one step of spf samples. Nothing is
+differentiated, so the loop runs under ``engine.no_grad`` and records no tape.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .avio import AudioBuffer, VideoClip, left_context
 from .engine import Tensor, no_grad
-from .errors import ContractError, ParameterError, _is_int
+from .errors import ContractError, ParameterError, RangeError, _is_int
 from .models import Model, dequantize
 
 
@@ -42,7 +42,7 @@ def generate(model: Model, video: VideoClip, total_frames: int | None = None) ->
                 audio = Tensor(left_context(out, pos, cfg.audio_ctx_len).T,
                                dtype=dt)
                 y = model.forward_core(audio, frame_ctx).data
-                if model.quantized:
+                if cfg.quantized:
                     y = dequantize(np.argmax(y, axis=-1))
                 out[pos:pos + step] = y.reshape(2, step).T
     out = np.clip(out, -1.0, 1.0)
@@ -53,9 +53,16 @@ def generate(model: Model, video: VideoClip, total_frames: int | None = None) ->
 
 
 def write_wav(a: AudioBuffer, path) -> None:
-    """Write 16-bit PCM stereo WAV; sample s encodes as round(s * 32767)."""
+    """Write 16-bit PCM stereo WAV; sample s encodes as round(s * 32767).
+
+    The header's byte rate (4 x rate) and RIFF size are 32-bit fields; a
+    rate or length that does not fit is a ``RangeError``.
+    """
     pcm = np.rint(a.samples * 32767.0).astype("<i2")
     data = pcm.tobytes()
+    if max(a.sample_rate * 4, 36 + len(data)) > 0xFFFFFFFF:
+        raise RangeError(f"rate {a.sample_rate} or {len(data)} data bytes "
+                         "overflow the WAV header's 32-bit fields")
     hdr = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF", 36 + len(data), b"WAVE",

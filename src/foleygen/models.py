@@ -1,7 +1,7 @@
 """The three generator architectures behind one model step.
 
-Sequence mode (deep fusion) emits the whole audio segment for the next
-frame; sample mode (wavenet, transformer) emits one stereo sample per step.
+Deep fusion emits the whole audio segment for the next frame per step;
+the wavenet and the transformer emit one stereo sample per step.
 All architecture sizes are config-driven; defaults are desk-scale.
 """
 
@@ -110,12 +110,13 @@ class JsonConfig:
         return cls(**{**defaults, **fields})
 
 
-# the least value of each size field; d_model and heads are checked together
+# the least value of each size field
 _SIZE_FLOORS = {
     **dict.fromkeys(
         ("audio_ctx_len", "video_ctx_len", "spf", "frame_h", "frame_w",
          "embed_channels", "fusion_kernel", "fusion_video_channels",
-         "wn_kernel", "wn_channels", "ff_hidden", "pos_table_len",
+         "wn_kernel", "wn_channels", "d_model", "heads", "ff_hidden",
+         "pos_table_len",
          # with no fusion block, deep fusion never reads its video
          "fusion_blocks"), 1),
     **dict.fromkeys(("embed_blocks", "wn_rounds", "tf_blocks"), 0),
@@ -167,8 +168,6 @@ class ModelConfig(JsonConfig):
                 f"wn_dilations entries must be >= 1, got {self.wn_dilations}")
         if self.ctx_mode not in ("strided_embed", "raw_short"):
             raise ParameterError(f"unknown ctx_mode {self.ctx_mode!r}")
-        if self.heads < 1 or self.d_model < 1:
-            raise ParameterError("heads and d_model must be >= 1")
         if self.d_model % self.heads != 0:
             raise ParameterError(
                 f"d_model {self.d_model} not divisible by heads {self.heads}")
@@ -431,13 +430,12 @@ def _build_transformer(cfg: ModelConfig, rng) -> TransformerParams:
 
 
 def transformer_forward(audio_ctx: Tensor, video_embed: Tensor,
-                        params: TransformerParams,
-                        quantized: bool = False) -> Tensor:
+                        params: TransformerParams) -> Tensor:
     """Causal attention over audio+video tokens; emits the next sample.
 
     Takes (2, A) contexts and returns (2,) in [-1, 1], or (2, 256) logits
-    when quantized; with a leading batch axis B on the contexts, the
-    result has it too.
+    for a quantized head (``dec_w`` 512 wide); with a leading batch axis B
+    on the contexts, the result has it too.
     """
     if audio_ctx.shape != video_embed.shape:
         raise ShapeError(
@@ -460,7 +458,7 @@ def transformer_forward(audio_ctx: Tensor, video_embed: Tensor,
     final = len(params.blocks) - 1
     for i, blk in enumerate(params.blocks):
         n = 1 if i == final else None
-        att = multi_head_attention(tokens, blk.attn, causal_mask=True, last_n=n)
+        att = multi_head_attention(tokens, blk.attn, last_n=n)
         tokens = (tokens if n is None else tokens[..., t_tok - 1:, :]) + att
         ff = linear(linear(tokens, blk.ff_w1, blk.ff_b1).relu(),
                     blk.ff_w2, blk.ff_b2)
@@ -469,9 +467,9 @@ def transformer_forward(audio_ctx: Tensor, video_embed: Tensor,
     dec = linear(tokens[..., tokens.shape[-2] - 1:, :], params.dec_w,
                  params.dec_b)
     lead = dec.shape[:-2]
-    if quantized:
-        return dec.reshape(lead + (2, 256))
-    return dec.reshape(lead + (2,)).tanh()
+    if dec.shape[-1] == 2:
+        return dec.reshape(lead + (2,)).tanh()
+    return dec.reshape(lead + (2, 256))
 
 
 # -- model wrappers -----------------------------------------------------------
@@ -508,6 +506,10 @@ class Model:
     ``data`` and ``grad`` are views of ``flat`` and ``grad``, written in place.
     """
 
+    # the ``avio.sample_window`` target a step emits: one sample (2,), or
+    # for deep fusion the frame's spf samples (2, spf), also when spf is 1
+    target_kind = "sample"
+
     def __init__(self, config: ModelConfig, p, precision: str):
         if precision not in _PRECISIONS:
             raise ParameterError(f"unknown precision {precision!r}")
@@ -529,18 +531,9 @@ class Model:
         return self.flat.dtype
 
     @property
-    def mode(self) -> str:
-        return "sequence" if self.config.kind == "deep_fusion" else "sample"
-
-    @property
     def step_samples(self) -> int:
-        """Samples per ``forward_core`` call: spf in sequence mode, else 1."""
-        return self.config.spf if self.mode == "sequence" else 1
-
-    @property
-    def quantized(self) -> bool:
-        """True if ``forward_core`` emits 256-bin logits: quantized transformer."""
-        return self.config.quantized
+        """Samples per ``forward_core`` call: spf for a frame target, else 1."""
+        return self.config.spf if self.target_kind == "frame_sequence" else 1
 
     def param_count(self) -> int:
         return self.flat.size
@@ -566,6 +559,8 @@ class Model:
 
 
 class DeepFusionModel(Model):
+    target_kind = "frame_sequence"
+
     def forward_core(self, audio_ctx, frame_ctx):
         return deep_fusion_forward(audio_ctx, frame_ctx, self.p)
 
@@ -577,8 +572,7 @@ class WavenetModel(Model):
 
 class TransformerModel(Model):
     def forward_core(self, audio_ctx, frame_ctx):
-        return transformer_forward(audio_ctx, frame_ctx, self.p,
-                                   quantized=self.quantized)
+        return transformer_forward(audio_ctx, frame_ctx, self.p)
 
 
 _ARCHITECTURES = {  # kind -> (model class, parameter builder)

@@ -68,8 +68,7 @@ def _gradient_suite(rng) -> list:
         x = Tensor(rng.uniform(-1, 1, batch + (3, d)), requires_grad=True)
         inputs = [t for name, t in vars(ap).items() if name != "heads"]
         err = grad_check(
-            lambda x, *ts: (multi_head_attention(x, ap, causal_mask=True)
-                            ** 2).sum(),
+            lambda x, *ts: (multi_head_attention(x, ap) ** 2).sum(),
             [x, *inputs],
         )
         if err >= 1e-4:

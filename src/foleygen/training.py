@@ -156,9 +156,8 @@ class TrainReport:
 def _window_for(model: Model, ds: Dataset, frame_index: int,
                 sample_offset: int):
     cfg = model.config
-    kind = "frame_sequence" if model.mode == "sequence" else "sample"
     return sample_window(ds.av, frame_index, cfg.audio_ctx_len,
-                         cfg.video_ctx_len, target_kind=kind,
+                         cfg.video_ctx_len, target_kind=model.target_kind,
                          sample_offset=sample_offset)
 
 
@@ -183,7 +182,8 @@ def train(model: Model, dataset: Dataset, cfg: TrainConfig,
         windows = []
         for _ in range(cfg.batch_size):
             fi = int(rng.integers(0, len(train_frames)))
-            offset = int(rng.integers(0, spf)) if model.mode == "sample" else 0
+            offset = (int(rng.integers(0, spf)) if model.target_kind == "sample"
+                      else 0)
             windows.append(_window_for(model, dataset, train_frames[fi], offset))
         return stack_windows(windows)
 
@@ -235,7 +235,7 @@ def evaluate(model: Model, dataset: Dataset, kind: str,
              max_windows: int | None = None) -> float:
     """Mean loss over the validation windows; no parameter updates, no tape.
 
-    Sample-mode models have one window per (frame, offset) pair;
+    A one-sample step has one window per (frame, offset) pair;
     ``max_windows`` caps the count by striding deterministically.
     """
     if max_windows is not None and not (_is_int(max_windows)

@@ -25,7 +25,6 @@ from foleygen.avio import (
 from foleygen.engine import (
     AttentionParams,
     Tensor,
-    concat,
     conv1d_causal,
     conv1d_strided,
     conv1x1_channels,
@@ -73,7 +72,7 @@ def test_1_gradient_suite():
     check(lambda a: (a.mean() ** 2).sum(), [t(3, 4)])
     check(lambda a: (a.mean_axis(0) ** 2).sum(), [t(3, 4)])
     check(lambda a: (a.reshape(2, 6) ** 2).sum(), [t(3, 4)])
-    check(lambda a: (a.transpose() ** 2).sum(), [t(3, 4)])
+    check(lambda a: (a.transpose((1, 0)) ** 2).sum(), [t(3, 4)])
     check(lambda a: (a[1:, :2] ** 2).sum(), [t(3, 4)])
     check(lambda a: a.tanh().sum(), [t(3, 4)])
     check(lambda a: a.relu().sum(), [t(3, 4, lo=0.1, hi=2.0)])
@@ -82,7 +81,6 @@ def test_1_gradient_suite():
     check(lambda a: a.clamp(-1.0, 1.0).sum(), [t(3, 4, lo=-0.8, hi=0.8)])
     check(lambda a: (a.softmax_lastdim() ** 2).sum(), [t(3, 4)])
     check(lambda a: a.logsumexp_lastdim().sum(), [t(3, 4)])
-    check(lambda a, b: (concat([a, b], axis=1) ** 2).sum(), [t(2, 3), t(2, 2)])
     check(lambda a, s: (scalar_scale(a, s) ** 2).sum(), [t(3, 4), t(1)])
     check(lambda a: (expand_axis(a, 1, 3) ** 2).sum(), [t(2, 4)])
     check(lambda x, w, b: linear(x, w, b).sum(), [t(3, 4), t(4, 2), t(2)])
@@ -95,7 +93,7 @@ def test_1_gradient_suite():
         *(t(d, d, lo=-1, hi=1) for _ in range(4)),
         *(t(d, lo=-1, hi=1) for _ in range(3)), heads=h)
     att_inputs = [v for name, v in vars(ap).items() if name != "heads"]
-    check(lambda x, *ts: multi_head_attention(x, ap, causal_mask=True).sum(),
+    check(lambda x, *ts: multi_head_attention(x, ap).sum(),
           [t(3, d, lo=-1, hi=1), *att_inputs])
     for kind in ("mse", "xent_bernoulli", "xent_paper_literal"):
         target = rng.uniform(-0.8, 0.8, 5)
@@ -159,10 +157,10 @@ def test_2_causality():
         *(Tensor(rng.uniform(-1, 1, (d, d))) for _ in range(4)),
         *(Tensor(rng.uniform(-1, 1, d)) for _ in range(3)), heads=2)
     x = rng.uniform(-1, 1, (6, d))
-    a0 = multi_head_attention(Tensor(x), ap, causal_mask=True).data
+    a0 = multi_head_attention(Tensor(x), ap).data
     x2 = x.copy()
     x2[5] += 1.0
-    a1 = multi_head_attention(Tensor(x2), ap, causal_mask=True).data
+    a1 = multi_head_attention(Tensor(x2), ap).data
     attn_ok = (np.array_equal(a0[:5], a1[:5])
                and not np.array_equal(a0[5], a1[5]))
     _verdict(2, "causality",

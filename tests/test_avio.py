@@ -402,6 +402,13 @@ class TestSampleWindow:
         with pytest.raises(BoundsError):
             sample_window(d, 0, 4, 2, "sample", d.spf)
 
+    @pytest.mark.parametrize("offset", [1, 3, 99, -1])
+    def test_frame_target_refuses_an_offset(self, offset):
+        # a frame target starts at its frame; an offset would be ignored
+        d = make_dataset(frames=4, spf=4).av
+        with pytest.raises(BoundsError, match="frame_sequence"):
+            sample_window(d, 1, 4, 2, "frame_sequence", sample_offset=offset)
+
     @pytest.mark.parametrize("audio_ctx_len,video_ctx_len", [(-1, 2), (4, -1)])
     def test_negative_context_length_refused(self, audio_ctx_len,
                                              video_ctx_len):

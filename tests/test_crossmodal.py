@@ -70,26 +70,26 @@ class TestVideoToAudio:
     def test_zero_frames_zero_embedding(self):
         rng = np.random.default_rng(5)
         p = zero_bias(ProjectionParams.create(rng, 4, 6, 3, 2))
-        y = video_to_audio(Tensor(np.zeros((3, 2, 2))), p)
+        y = video_to_audio(Tensor(np.zeros((3, 1, 2, 2))), p)
         npt.assert_array_equal(y.data, np.zeros((2, 6)))
 
     def test_default_shape_contract(self):
         rng = np.random.default_rng(6)
         p = ProjectionParams.create(rng, 36 * 64, 294, 3, 2)
-        y = video_to_audio(Tensor(rng.uniform(0, 1, (3, 36, 64))), p)
+        y = video_to_audio(Tensor(rng.uniform(0, 1, (3, 1, 36, 64))), p)
         assert y.shape == (2, 294)
 
     def test_scalar_passthrough(self):
         p = ProjectionParams(w=Tensor([[1.0]]), b=Tensor([0.0]),
                              mix=Tensor([[2.0]]))
-        y = video_to_audio(Tensor([[[0.7]]]), p)
+        y = video_to_audio(Tensor([[[[0.7]]]]), p)
         npt.assert_allclose(y.data, [[1.4]])
 
     def test_time_pooling(self):
         rng = np.random.default_rng(7)
         p = ProjectionParams.create(rng, 4, 5, 3, 2)
-        frames = rng.uniform(0, 1, (3, 2, 2))
-        stacked = np.repeat(frames[:, None], 4, axis=1)
+        frames = rng.uniform(0, 1, (3, 1, 2, 2))
+        stacked = np.repeat(frames, 4, axis=1)
         y1 = video_to_audio(Tensor(frames), p).data
         y2 = video_to_audio(Tensor(stacked), p).data
         npt.assert_allclose(y1, y2, atol=1e-12)
@@ -98,6 +98,11 @@ class TestVideoToAudio:
         rng = np.random.default_rng(8)
         p = ProjectionParams.create(rng, 9, 5, 3, 2)
         with pytest.raises(ShapeError):
+            video_to_audio(Tensor(np.zeros((3, 1, 2, 2))), p)
+
+    def test_time_axis_required(self):
+        p = ProjectionParams.create(np.random.default_rng(8), 4, 5, 3, 2)
+        with pytest.raises(ShapeError, match="4-D or 5-D"):
             video_to_audio(Tensor(np.zeros((3, 2, 2))), p)
 
 
@@ -121,7 +126,7 @@ class TestAudioToVideo:
 
         def f(arr):
             vid = audio_to_video(Tensor(arr), a2v, 2, 2)
-            return video_to_audio(vid, v2a).data
+            return video_to_audio(vid.reshape(3, 1, 2, 2), v2a).data
 
         a = rng.uniform(-1, 1, (2, 6))
         b = rng.uniform(-1, 1, (2, 6))

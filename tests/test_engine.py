@@ -15,7 +15,6 @@ from foleygen.engine import (
     Tensor,
     backward,
     causal_residual,
-    concat,
     conv1d_causal,
     conv1d_strided,
     conv1x1_channels,
@@ -322,6 +321,15 @@ class TestConv3d:
         with pytest.raises(ShapeError):
             conv3d(Tensor(np.ones((1,) + dims)), Tensor(np.ones((1, 1, 1, 1, 1))))
 
+    @pytest.mark.parametrize("xs,ks", [
+        ((0, 3, 3, 3), (2, 0, 3, 3, 3)),        # no input channels
+        ((2, 0, 3, 3, 3), (2, 0, 3, 3, 3)),     # the same, batched
+        ((2, 3, 3, 3), (0, 2, 3, 3, 3)),        # no output channels
+    ])
+    def test_no_channels_refused(self, xs, ks):
+        with pytest.raises(ShapeError, match="no channels"):
+            conv3d(Tensor(np.ones(xs)), Tensor(np.ones(ks)))
+
 
 class TestConv3dIm2col:
     """The spatial-column conv3d against the per-tap reference."""
@@ -522,14 +530,15 @@ class TestAttention:
         rng = np.random.default_rng(6)
         d, T = 4, 5
         p = rand_attention_params(rng, d, 1)
-        p.wk.data[:] = 0.0  # every key identical -> weights 1/T
+        p.wk.data[:] = 0.0  # every key identical -> weights 1/(t+1) at row t
         p.wv.data[...] = np.eye(d)
         p.bv.data[:] = 0.0
         p.wo.data[...] = np.eye(d)
         p.bo.data[:] = 0.0
         x = rng.uniform(-1, 1, (T, d))
         y = multi_head_attention(Tensor(x), p).data
-        npt.assert_allclose(y, np.tile(x.mean(axis=0), (T, 1)), atol=1e-12)
+        running_mean = x.cumsum(axis=0) / np.arange(1, T + 1)[:, None]
+        npt.assert_allclose(y, running_mean, atol=1e-12)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(7)
@@ -541,6 +550,7 @@ class TestAttention:
         k = x @ p.wk.data
         v = x @ p.wv.data + p.bv.data
         scores = q @ k.T / math.sqrt(d)
+        scores[np.triu_indices(T, 1)] = -np.inf         # causal
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         att = e / e.sum(axis=1, keepdims=True)
         expected = (att @ v) @ p.wo.data + p.bo.data
@@ -558,11 +568,11 @@ class TestAttention:
         d, T = 4, 6
         p = rand_attention_params(rng, d, 2)
         x = rng.uniform(-1, 1, (T, d))
-        y0 = multi_head_attention(Tensor(x), p, causal_mask=True).data
+        y0 = multi_head_attention(Tensor(x), p).data
         for t in range(1, T):
             xp = x.copy()
             xp[t] += 1.0
-            y1 = multi_head_attention(Tensor(xp), p, causal_mask=True).data
+            y1 = multi_head_attention(Tensor(xp), p).data
             npt.assert_array_equal(y0[:t], y1[:t])
             assert not np.array_equal(y0[t:], y1[t:])
 
@@ -639,26 +649,32 @@ class TestStackedMatmul:
             Tensor(np.ones(sa)) @ Tensor(np.ones(sb))
 
 
-def multi_head_attention_per_head(x, params, causal_mask=False):
-    """Reference attention: one slice, transpose, two matmuls and a softmax
-    per head, merged with ``concat``."""
+def concat(tensors, axis):
+    """Differentiable concatenation: the reference's merge of the heads."""
+    datas = [t.data for t in tensors]
+    out = Tensor._result(np.concatenate(datas, axis=axis), tuple(tensors), None)
+    if out.requires_grad:
+        cuts = np.cumsum([d.shape[axis] for d in datas[:-1]])
+        out._backward = lambda g: tuple(np.split(g, cuts, axis=axis))
+    return out
+
+
+def multi_head_attention_per_head(x, params):
+    """Reference causal attention: one slice, transpose, two matmuls and a
+    softmax per head, merged with ``concat``."""
     T, d_model = x.shape
     h = params.heads
     dh = d_model // h
     q = linear(x, params.wq, params.bq)
     k = x @ params.wk
     v = linear(x, params.wv, params.bv)
-    mask = None
-    if causal_mask:
-        mask = Tensor(np.triu(np.full((T, T), -1e30), k=1), dtype=x.data.dtype)
+    mask = Tensor(np.triu(np.full((T, T), -1e30), k=1), dtype=x.data.dtype)
     heads_out = []
     scale = 1.0 / math.sqrt(dh)
     for i in range(h):
         sl = slice(i * dh, (i + 1) * dh)
         qi, ki, vi = q[:, sl], k[:, sl], v[:, sl]
-        scores = (qi @ ki.T) * scale
-        if mask is not None:
-            scores = scores + mask
+        scores = (qi @ ki.mT) * scale + mask
         att = scores.softmax_lastdim()
         heads_out.append(att @ vi)
     merged = concat(heads_out, axis=1)
@@ -676,26 +692,21 @@ def attention_and_grads(fn, x, p, g):
 
 
 class TestHeadBatchedAttention:
-    @pytest.mark.parametrize("causal", [False, True])
     @pytest.mark.parametrize("heads", [1, 2, 3, 4])
-    def test_bit_identical_to_per_head_loop(self, heads, causal):
+    def test_bit_identical_to_per_head_loop(self, heads):
         rng = np.random.default_rng(40 + heads)
         d = 4 * heads
         p = rand_attention_params(rng, d, heads)
         for T in (1, 5, 88):
             x = rng.uniform(-1, 1, (T, d))
             g = rng.uniform(-1, 1, (T, d))
-            ref = attention_and_grads(
-                lambda x, p: multi_head_attention_per_head(x, p, causal),
-                x, p, g)
-            got = attention_and_grads(
-                lambda x, p: multi_head_attention(x, p, causal), x, p, g)
+            ref = attention_and_grads(multi_head_attention_per_head, x, p, g)
+            got = attention_and_grads(multi_head_attention, x, p, g)
             for r, a in zip(ref, got):
                 npt.assert_array_equal(a, r, err_msg=f"T={T}")
 
-    @pytest.mark.parametrize("causal", [False, True])
     @pytest.mark.parametrize("heads", [1, 2, 4])
-    def test_last_n_queries_are_last_rows(self, heads, causal):
+    def test_last_n_queries_are_last_rows(self, heads):
         rng = np.random.default_rng(50 + heads)
         d, T = 4 * heads, 9
         p = rand_attention_params(rng, d, heads)
@@ -705,11 +716,9 @@ class TestHeadBatchedAttention:
             g = rng.uniform(-1, 1, (n, d))
             g_full = np.zeros((T, d))
             g_full[T - n:] = g
-            full = attention_and_grads(
-                lambda x, p: multi_head_attention(x, p, causal), x, p, g_full)
+            full = attention_and_grads(multi_head_attention, x, p, g_full)
             last = attention_and_grads(
-                lambda x, p: multi_head_attention(x, p, causal, last_n=n),
-                x, p, g)
+                lambda x, p: multi_head_attention(x, p, last_n=n), x, p, g)
             assert last[0].shape == (n, d)
             npt.assert_allclose(last[0], full[0][T - n:], rtol=0, atol=1e-12)
             for r, a in zip(full[1:], last[1:]):
@@ -893,12 +902,12 @@ class TestGradCheck:
     # ops that take a leading batch axis; test_every_op runs them at B = 2
     # as well
     BATCHED = {"linear", "matmul", "conv1d_causal", "causal_residual",
-               "conv1d_strided", "conv3d", "conv1x1", "attention",
-               "attention_causal", "attention_last2", "mean_axis", "expand"}
+               "conv1d_strided", "conv3d", "conv1x1", "attention_causal",
+               "attention_last2", "mean_axis", "expand"}
 
     @pytest.mark.parametrize("name", [
         "tanh", "softmax", "conv1d_causal", "conv1d_strided", "conv3d",
-        "conv1x1", "attention", "attention_causal", "attention_last2",
+        "conv1x1", "attention_causal", "attention_last2",
         "clamp", "abs",
         "logsumexp", "mean_axis", "expand", "scalar_scale",
         "linear", "matmul", "causal_residual",
@@ -940,10 +949,9 @@ class TestGradCheck:
         elif name.startswith("attention"):
             p = rand_attention_params(rng, 4, 2)
             x = Tensor(rng.uniform(-1, 1, batch + (3, 4)), requires_grad=True)
-            causal = name != "attention"
             last_n = 2 if name.endswith("last2") else None
             fn = lambda x, *ts: (multi_head_attention(
-                x, p, causal, last_n=last_n) ** 2).sum()
+                x, p, last_n=last_n) ** 2).sum()
             ins = [x] + [t for n_, t in vars(p).items() if n_ != "heads"]
         elif name == "clamp":
             # stay away from the clamp boundaries
@@ -981,8 +989,8 @@ class TestDeterminism:
         rng = np.random.default_rng(12)
         p = rand_attention_params(rng, 4, 2)
         x = rng.uniform(-1, 1, (5, 4))
-        a = multi_head_attention(Tensor(x), p, causal_mask=True).data
-        b = multi_head_attention(Tensor(x.copy()), p, causal_mask=True).data
+        a = multi_head_attention(Tensor(x), p).data
+        b = multi_head_attention(Tensor(x.copy()), p).data
         assert np.array_equal(a, b)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from foleygen import engine, generation, training
 from foleygen.avio import AudioBuffer, VideoClip, load_wav
-from foleygen.errors import ContractError, ParameterError
+from foleygen.errors import ContractError, ParameterError, RangeError
 from foleygen.generation import (
     frame_boundary_discontinuity,
     generate,
@@ -207,6 +207,21 @@ class TestWriteWav:
         write_wav(buf, p)
         back = load_wav(p)
         assert len(back) / back.sample_rate == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("rate", [2 ** 30, 2 ** 32])
+    def test_byte_rate_past_32_bits_refused(self, tmp_path, rate):
+        # the header's byte rate is 4 x rate in a 32-bit field
+        buf = AudioBuffer(samples=np.zeros((2, 2)), sample_rate=rate)
+        p = tmp_path / "r.wav"
+        with pytest.raises(RangeError, match="32-bit"):
+            write_wav(buf, p)
+        assert not p.exists()
+
+    def test_largest_byte_rate_written(self, tmp_path):
+        rate = (2 ** 32 - 1) // 4
+        p = tmp_path / "r.wav"
+        write_wav(AudioBuffer(samples=np.zeros((2, 2)), sample_rate=rate), p)
+        assert load_wav(p).sample_rate == rate
 
 
 class TestDiscontinuityMetric:

@@ -18,6 +18,7 @@ from conftest import (
     BAD_MODEL_SIZES,
     bad_size_id,
     fail_on_nth_write,
+    make_dataset,
     rewrite_config,
     save_with_both_front_ends,
     save_zero_size_dataset,
@@ -382,6 +383,20 @@ class TestCliPipeline:
                          "--out", str(tmp_path / "m.bin")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_generate_rate_past_the_wav_header_exit_code(self, tmp_path,
+                                                          capsys):
+        # fps 2^30 at spf 1: a tiny dataset whose WAV byte rate, 4 x 2^30,
+        # does not fit the header's 32-bit field
+        data, ckpt = tmp_path / "ds.bin", tmp_path / "m.bin"
+        avio.save_dataset(make_dataset(frames=4, spf=1, fps=2 ** 30), data)
+        save_checkpoint(build_model(tiny_config("wavenet", spf=1)), ckpt)
+        wav = tmp_path / "out.wav"
+        capsys.readouterr()
+        assert cli.main(["generate", "--checkpoint", str(ckpt),
+                         "--dataset", str(data), "--out", str(wav)]) == 2
+        assert "32-bit" in capsys.readouterr().err
+        assert not wav.exists()
+
     @pytest.mark.parametrize("command", ["generate", "eval"])
     @pytest.mark.parametrize("ingest_args,key,values", [
         (["--rate", "40", "--height", "4", "--width", "4"], "spf", ("4", "8")),
@@ -487,7 +502,8 @@ class TestCliPipeline:
                          "--model-config", str(tmp_path / "model.json"),
                          "--out", str(ckpt)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "heads" in err
+        # the message names the refused field
+        assert err.startswith("error: ") and next(iter(fields)) in err
         assert not ckpt.exists()
 
     @pytest.mark.parametrize("missing", [

@@ -286,7 +286,7 @@ class TestFlatAdam:
         ds = make_dataset(frames=8, spf=4)
         train(model, ds, TrainConfig(steps=2, clip_norm=1e-6))
         assert _views_of_buffers(model)
-        w = training._window_for(model, ds, 2, 1)
+        w = training._window_for(model, ds, 2, 0)
         backward(loss("mse", model.forward_window(w), w.target.T))
         assert _views_of_buffers(model)
         assert np.array_equal(model.grad, np.concatenate(
@@ -356,6 +356,16 @@ class TestEvaluate:
         model = build_model(tiny_config("deep_fusion"), seed=10)
         v = evaluate(model, ds, "mse")
         assert np.isfinite(v)
+
+    def test_deep_fusion_at_one_sample_per_frame(self):
+        # one sample per step, as the other kinds, but as a (2, 1) frame
+        ds = make_dataset(frames=8, spf=1)
+        model = build_model(tiny_config("deep_fusion", spf=1), seed=10)
+        assert model.step_samples == 1
+        report = train(model, ds, TrainConfig(steps=2, batch_size=2,
+                                              loss_kind="mse"))
+        assert all(map(np.isfinite, report.losses))
+        assert np.isfinite(evaluate(model, ds, "mse"))
 
     def test_checkpoint_cycle_preserves_loss(self, tmp_path):
         ds = make_dataset(frames=8, spf=4)
