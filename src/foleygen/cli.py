@@ -21,7 +21,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, avio, generation, models, report, training
-from .errors import ContractError, FoleygenError
+from .errors import FoleygenError
 
 _LOSS_FLAG = {
     "mse": "mse",
@@ -85,29 +85,13 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _geometry(ds: avio.Dataset) -> dict:
-    _, _, h, w = ds.av.video.frames.shape
-    return {"spf": ds.av.spf, "frame_h": h, "frame_w": w}
-
-
-def _check_fields(cfg: models.ModelConfig, what: str, source: str,
-                  fixed: dict) -> None:
-    """Refuse a model config whose fields differ from those ``source`` fixes."""
-    for key, have in fixed.items():
-        want = getattr(cfg, key)
-        if want != have:
-            raise ContractError(
-                f"{what} has {key} {want} but {source} has {key} {have}")
-
-
 def _model_config_for(args, ds: avio.Dataset) -> models.ModelConfig:
     text = avio.read_input(args.model_config) if args.model_config else "{}"
     kind = {"kind": _MODEL_FLAG[args.model]}
-    geometry = _geometry(ds)
-    mc = models.ModelConfig.from_json(text, **kind, **geometry)
+    mc = models.ModelConfig.from_json(text, **kind, **ds.geometry)
     what = f"model config {args.model_config}"
-    _check_fields(mc, what, "--model", kind)
-    _check_fields(mc, what, f"dataset {args.dataset}", geometry)
+    mc.check_fields(kind, what, "--model")
+    mc.check_fields(ds.geometry, what, f"dataset {args.dataset}")
     return mc
 
 
@@ -115,8 +99,8 @@ def _load_for_dataset(args):
     """Load checkpoint and dataset; refuse a model built for other data."""
     model = models.load_checkpoint(args.checkpoint, precision=args.precision)
     ds = avio.load_dataset(args.dataset)
-    _check_fields(model.config, f"checkpoint {args.checkpoint}",
-                  f"dataset {args.dataset}", _geometry(ds))
+    model.config.check_fields(ds.geometry, f"checkpoint {args.checkpoint}",
+                              f"dataset {args.dataset}")
     return model, ds
 
 

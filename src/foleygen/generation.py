@@ -20,8 +20,13 @@ from .models import Model, dequantize
 
 
 def generate(model: Model, video: VideoClip, total_frames: int | None = None) -> AudioBuffer:
-    """Generate audio for a clip; output length is total_frames * spf."""
+    """Generate audio for a clip; output length is total_frames * spf.
+
+    A model built for another frame size is a ``ContractError``.
+    """
     cfg = model.config
+    _, _, h, w = video.frames.shape
+    cfg.check_fields({"frame_h": h, "frame_w": w}, source="clip")
     if total_frames is not None and not _is_int(total_frames):
         raise ParameterError(
             f"total_frames must be an int or None, got {total_frames!r}")

@@ -41,6 +41,7 @@ from .engine import (
     scalar_scale,
 )
 from .errors import (
+    ContractError,
     FormatError,
     ParameterError,
     RangeError,
@@ -196,6 +197,16 @@ class ModelConfig(JsonConfig):
             for _ in self.strided_schedule:
                 t = (t - 2) // 2 + 1
         return t
+
+    def check_fields(self, fixed: dict, what: str = "model",
+                     source: str = "dataset") -> None:
+        """Refuse a config whose fields differ from the values ``source``
+        fixes, such as a dataset's ``Dataset.geometry``."""
+        for key, have in fixed.items():
+            want = getattr(self, key)
+            if want != have:
+                raise ContractError(
+                    f"{what} has {key} {want} but {source} has {key} {have}")
 
 
 # -- amplitude quantization ---------------------------------------------------

@@ -169,7 +169,9 @@ def train(model: Model, dataset: Dataset, cfg: TrainConfig,
     one ``forward_window``, one loss (the mean over the batch) and one
     backward. Deterministic under a fixed seed: the window sequence,
     updates, and loss curve depend only on (model state, dataset, cfg).
+    A model built for another spf or frame size is a ``ContractError``.
     """
+    model.config.check_fields(dataset.geometry)
     train_frames = list(dataset.train_frames())
     if not train_frames:
         raise ContractError("train split is empty; lower train_fraction?")
@@ -236,8 +238,10 @@ def evaluate(model: Model, dataset: Dataset, kind: str,
     """Mean loss over the validation windows; no parameter updates, no tape.
 
     A one-sample step has one window per (frame, offset) pair;
-    ``max_windows`` caps the count by striding deterministically.
+    ``max_windows`` caps the count by striding deterministically. A model
+    built for another spf or frame size is a ``ContractError``.
     """
+    model.config.check_fields(dataset.geometry)
     if max_windows is not None and not (_is_int(max_windows)
                                         and max_windows >= 1):
         raise ParameterError(

@@ -1,5 +1,9 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -249,6 +253,85 @@ class TestDownsample:
         a = AudioBuffer(samples=np.zeros((10, 2)), sample_rate=44100)
         with pytest.raises(ParameterError):
             downsample_audio(a, 8000)
+
+
+class TestLowpassMatchesScipy:
+    """The numpy Butterworth low-pass against scipy's, which only the tests
+    import. A 1-s stereo noise clip at 44.1 kHz goes through the low-pass
+    of every decimation factor from 2 to 441 (cut-off 0.45 of the target
+    rate, as in ``downsample_audio``)."""
+
+    @staticmethod
+    def _noise(n=44100):
+        return np.random.default_rng(0).uniform(-1, 1, (n, 2))
+
+    @staticmethod
+    def _numpy(x, wn):
+        return avio._lowpass(x.T, wn).T
+
+    def test_coefficients_are_scipys(self):
+        signal = pytest.importorskip("scipy.signal")
+        for factor in range(2, 442):
+            sos = signal.butter(4, 0.9 / factor, output="sos")
+            want = [(s[0], s[4], s[5]) for s in sos]
+            assert avio._butter_sections(0.9 / factor) == want, factor
+            npt.assert_array_equal(sos[:, :3], [[s[0], 2 * s[0], s[0]]
+                                                for s in sos])
+
+    def test_every_factor_matches_sosfilt(self):
+        signal = pytest.importorskip("scipy.signal")
+        x = self._noise()
+        for factor in range(2, 442):
+            wn = 0.9 / factor
+            ref = signal.sosfilt(signal.butter(4, wn, output="sos"), x, axis=0)
+            npt.assert_allclose(self._numpy(x, wn), ref, rtol=0, atol=1e-12,
+                                err_msg=f"factor {factor}")
+
+    def test_small_factors_match_lfilter(self):
+        # the transfer-function form the filter was first run in; at factors
+        # 18-20 it is itself ~5e-13 from sosfilt, and the numpy filter is
+        # ~3e-15 from sosfilt
+        signal = pytest.importorskip("scipy.signal")
+        x = self._noise()
+        for factor in range(2, 21):
+            wn = 0.9 / factor
+            ref = signal.lfilter(*signal.butter(4, wn), x, axis=0)
+            npt.assert_allclose(self._numpy(x, wn), ref, rtol=0, atol=1e-12,
+                                err_msg=f"factor {factor}")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, avio._BLOCK - 1, avio._BLOCK,
+                                   avio._BLOCK + 1])
+    def test_block_edges(self, n):
+        signal = pytest.importorskip("scipy.signal")
+        x = self._noise(n)
+        ref = signal.sosfilt(signal.butter(4, 0.18, output="sos"), x, axis=0)
+        npt.assert_allclose(self._numpy(x, 0.18), ref, rtol=0, atol=1e-12)
+
+    def test_empty_input(self):
+        out = downsample_audio(AudioBuffer(np.zeros((0, 2)), 44100), 8820)
+        assert (out.samples.shape, out.sample_rate) == ((0, 2), 8820)
+
+    def test_downsample_matches_lfilter(self):
+        signal = pytest.importorskip("scipy.signal")
+        x = self._noise(3 * 44100 + 7)
+        ref = signal.lfilter(*signal.butter(4, 0.18), x, axis=0)[::5]
+        out = downsample_audio(AudioBuffer(x, 44100), 8820).samples
+        assert out.flags.c_contiguous
+        npt.assert_allclose(out, np.clip(ref, -1.0, 1.0), rtol=0, atol=1e-12)
+
+
+def test_import_loads_no_scipy():
+    """The package runs on numpy alone; scipy is only the tests' reference."""
+    code = ("import sys, foleygen, foleygen.cli; print(sorted(m for m in "
+            "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def silence(n=40, rate=40):

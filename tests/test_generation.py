@@ -110,6 +110,15 @@ class TestGenerate:
             generate(model, make_video(frames=3), total_frames=frames)
 
 
+@pytest.mark.parametrize("field,size", [("frame_h", dict(h=5)),
+                                        ("frame_w", dict(w=3))])
+@pytest.mark.parametrize("kind", ["wavenet", "transformer", "deep_fusion"])
+def test_other_frame_size_refused(kind, field, size):
+    model = build_model(tiny_config(kind), seed=0)
+    with pytest.raises(ContractError, match=f"model has {field} .* but clip"):
+        generate(model, make_video(frames=2, **size))
+
+
 TAPE_FREE_CASES = {
     "deep_fusion": (dict(), "mse"),
     "wavenet": (dict(), "mse"),

@@ -210,6 +210,43 @@ class TestTrainLoop:
         assert len(lines) == 4
 
 
+# make_dataset arguments that differ from tiny_config's spf 4 and 4x4
+# frames in one ModelConfig field each
+OTHER_GEOMETRY = {"spf": dict(spf=6), "frame_h": dict(h=5),
+                  "frame_w": dict(w=3)}
+KINDS = ("wavenet", "transformer", "deep_fusion")
+
+
+class TestGeometryRefused:
+    """A model is refused on a dataset of another spf or frame size, before
+    any window is cut: a spf-4 wavenet used to train on spf-6 data, and a
+    spf-3 deep fusion model ended in an unrelated ShapeError."""
+
+    @pytest.mark.parametrize("field", OTHER_GEOMETRY)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_train(self, kind, field):
+        model = build_model(tiny_config(kind), seed=0)
+        before = model.flat.copy()
+        ds = make_dataset(frames=8, **OTHER_GEOMETRY[field])
+        with pytest.raises(ContractError, match=f"model has {field} "):
+            train(model, ds, TrainConfig(steps=1, loss_kind="mse"))
+        npt.assert_array_equal(model.flat, before)
+
+    @pytest.mark.parametrize("field", OTHER_GEOMETRY)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_evaluate(self, kind, field):
+        model = build_model(tiny_config(kind), seed=0)
+        ds = make_dataset(frames=8, **OTHER_GEOMETRY[field])
+        with pytest.raises(ContractError, match=f"model has {field} "):
+            evaluate(model, ds, "mse")
+
+    def test_deep_fusion_spf_named(self):
+        model = build_model(tiny_config("deep_fusion", spf=3), seed=0)
+        with pytest.raises(ContractError, match="spf 3 but dataset has spf 6"):
+            train(model, make_dataset(frames=8, spf=6),
+                  TrainConfig(steps=1, loss_kind="mse"))
+
+
 class ReferenceAdam:
     """Adam as one loop over the named tensors, rebinding each ``data`` and
     ``grad``: the float order the flat update must reproduce bit for bit."""
